@@ -20,6 +20,7 @@
 from benchmarks.conftest import run_once
 from repro.baselines import BASELINE, MAX_CFG, run_static
 from repro.core import (
+    HardeningConfig,
     HybridPolicy,
     OptimizationMode,
     SparseAdaptController,
@@ -30,6 +31,7 @@ from repro.core import (
 )
 from repro.core.training import QUICK_PARAM_GRID
 from repro.experiments.harness import build_trace
+from repro.faults import noise_schedule
 from repro.experiments.reporting import format_gain_table
 from repro.transmuter import TransmuterModel
 
@@ -49,8 +51,8 @@ def _noise_sweep():
             EE,
             HybridPolicy(0.4),
             BASELINE,
-            telemetry_noise=noise,
-            noise_seed=1,
+            faults=noise_schedule(noise, seed=1) if noise else None,
+            hardening=HardeningConfig.disabled(),
         ).run(trace)
         out[f"noise={int(noise * 100)}%"] = {
             "efficiency_gain": (

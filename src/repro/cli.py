@@ -817,8 +817,8 @@ def _fault_setup(args):
         )
         return schedule, hardening
     if noise > 0:
-        # Legacy noise as its fault-schedule equivalent (bit-identical
-        # stream, hardening off — the historical behaviour).
+        # Telemetry noise as its fault schedule, hardening off: the
+        # historical noise-only behaviour, bit-identical stream.
         return (
             noise_schedule(noise, getattr(args, "noise_seed", 0)),
             HardeningConfig.disabled(),
@@ -1090,15 +1090,6 @@ def _command_trace(args) -> int:
     mode = _mode(args.mode)
     model_kernel = "spmspm" if args.kernel == "spmspm" else "spmspv"
     faults, hardening = _fault_setup(args)
-    if args.faults:
-        fault_kwargs = {"faults": faults, "hardening": hardening}
-    else:
-        # Legacy --noise stays on the telemetry_noise shim so existing
-        # noise traces remain byte-identical (same stream, same records).
-        fault_kwargs = {
-            "telemetry_noise": args.noise,
-            "noise_seed": args.noise_seed,
-        }
     def record() -> dict:
         model = (
             load_model(args.model)
@@ -1112,7 +1103,8 @@ def _command_trace(args) -> int:
             machine=TransmuterModel(bandwidth_gbps=args.bandwidth),
             mode=mode,
             policy=default_policy_for(model_kernel),
-            **fault_kwargs,
+            faults=faults,
+            hardening=hardening,
         )
         with obs.recording(args.trace_out) as recorder:
             schedule = controller.run(trace)

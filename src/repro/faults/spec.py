@@ -11,8 +11,8 @@ Fault kinds (see ``docs/robustness.md`` for the full taxonomy):
 Kind                   Effect when it fires
 =====================  ====================================================
 ``counter_noise``      Multiplicative Gaussian noise (sigma = severity) on
-                       every non-echo counter — the legacy
-                       ``telemetry_noise`` behaviour as a fault kind.
+                       every non-echo counter (telemetry noise; see
+                       :func:`noise_schedule`).
 ``counter_dropout``    Each non-echo counter is lost with probability
                        ``severity``; a lost counter reads NaN (default) or
                        zero (``params: {"mode": "zero"}``).
@@ -85,8 +85,8 @@ its own.
 
 ``rate`` is the per-epoch probability that a spec fires inside its
 ``[start_epoch, end_epoch)`` window; a rate of 1.0 fires every epoch
-*without consuming a random draw*, which is what lets the deprecated
-``telemetry_noise`` shim reproduce its historical noise stream exactly.
+*without consuming a random draw*, which is what keeps
+:func:`noise_schedule` on the historical telemetry-noise stream.
 """
 
 from __future__ import annotations
@@ -402,13 +402,13 @@ class FaultSchedule:
 
 # ---------------------------------------------------------------------------
 def noise_schedule(sigma: float, seed: int = 0) -> FaultSchedule:
-    """The legacy ``telemetry_noise`` behaviour as a fault schedule.
+    """Telemetry noise of ``sigma`` as a fault schedule.
 
     The single ``counter_noise`` spec fires every epoch (rate 1.0, so no
     fire draws are consumed) and pins its private stream to ``seed``,
-    which makes the produced counter perturbations bit-identical to the
-    historical ``SparseAdaptController(telemetry_noise=sigma,
-    noise_seed=seed)`` stream.
+    which keeps the counter perturbations bit-identical to the
+    historical telemetry-noise stream of the same sigma and seed. Pair
+    it with ``HardeningConfig.disabled()`` for noise-only runs.
     """
     if sigma <= 0:
         raise FaultError(f"noise sigma must be positive, got {sigma}")

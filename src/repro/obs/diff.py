@@ -27,6 +27,8 @@ from __future__ import annotations
 from collections import Counter as TallyCounter
 from typing import Dict, List, Optional, Sequence
 
+from repro.obs.report import run_seeds
+
 __all__ = ["diff_traces", "render_diff"]
 
 
@@ -231,14 +233,12 @@ def render_diff(diff: Dict, max_timeline_rows: int = 24) -> str:
     for side in (a, b):
         run = side.get("run", {})
         lines.append(
-            "{}: trace={} scheme={} policy={} noise={} seed={} "
-            "epochs={}".format(
+            "{}: trace={} scheme={} policy={} {} epochs={}".format(
                 side["label"],
                 run.get("trace", "?"),
                 run.get("scheme", "?"),
                 run.get("policy", "?"),
-                _fmt(run.get("telemetry_noise")),
-                run.get("noise_seed", "-"),
+                run_seeds(run),
                 side["n_epochs"],
             )
         )

@@ -1,14 +1,14 @@
 """Live campaign monitor: heartbeat aggregation, ETA, stragglers.
 
-Long parallel campaigns (PR 5's sharded runner) used to run blind:
-nothing visible until the shards merged. Runners now append volatile
-``heartbeat`` records to whichever ledger they hold — the canonical
-file for a serial run, the private ``<ledger>.w<k>`` shard for each
-worker — carrying wall-clock timestamp, jobs done/failed so far, shard
-total, and the label of the job being started. Heartbeats are the one
-record type every results reader skips: the byte-identical merge drops
-them, resume ignores them, and a torn heartbeat (they are flushed, not
-fsynced) costs nothing.
+Runners append volatile ``heartbeat`` records to whichever ledger they
+hold — the canonical file for a serial run, a per-worker
+``ledger.jsonl.w<k>`` shard for each worker of an experiment store
+(the private store a ``--workers N`` run keeps at ``<ledger>.store``
+included) — carrying wall-clock timestamp, jobs done/failed so far,
+the total the runner works towards, and the label of the job being
+started. Heartbeats are the one record type every results reader
+skips: resume ignores them, published record groups never carry them,
+and a torn heartbeat (they are flushed, not fsynced) costs nothing.
 
 :func:`read_live` folds the canonical ledger plus any live shards into
 a :class:`CampaignStatus`: per-worker progress, heartbeat age, an EWMA
@@ -185,6 +185,15 @@ def _worker_from_heartbeats(
     return status
 
 
+def _header(records: List[dict]) -> Optional[dict]:
+    return next((r for r in records if r.get("type") == "header"), None)
+
+
+def _grid_size(header: Optional[dict]) -> Optional[int]:
+    jobs = (header or {}).get("jobs")
+    return jobs if isinstance(jobs, int) else None
+
+
 def read_live(
     ledger_path: Union[str, Path],
     now: Optional[float] = None,
@@ -193,10 +202,13 @@ def read_live(
     """Aggregate a campaign's canonical ledger plus live shards.
 
     The campaign total is taken from the runners themselves: the
-    serial runner's heartbeats carry the full job count, and in a
-    parallel run each shard's heartbeats carry that shard's count, on
-    top of whatever the canonical ledger already holds as terminal rows
-    (resumed work, or shards already merged). ``now`` is injectable
+    serial runner's heartbeats carry the full job count, and each
+    shard's heartbeats carry that shard's count, on top of whatever the
+    canonical ledger already holds as terminal rows (resumed work, or
+    shards already merged). Store workers claim from one shared grid,
+    so their heartbeats all carry the grid size: a store ledger's
+    header (or the private store of a running ``--workers N``
+    campaign) supplies that size once instead. ``now`` is injectable
     for deterministic tests.
     """
     import time as _time
@@ -204,6 +216,7 @@ def read_live(
     from repro.runner.ledger import (
         TERMINAL_TYPES,
         list_shards,
+        private_store_path,
         read_ledger_records,
     )
 
@@ -213,24 +226,26 @@ def read_live(
     now = _time.time() if now is None else now
 
     records, _ = read_ledger_records(ledger_path)
-    plan_name = "campaign"
-    plan_key = None
-    header_jobs: Optional[int] = None
-    for record in records:
-        if record.get("type") == "header":
-            plan_name = record.get("plan_name", plan_name)
-            plan_key = record.get("plan_key")
-            # Experiment-store ledgers declare the grid size up front:
-            # store workers claim jobs dynamically, so their per-shard
-            # heartbeat totals describe the whole grid (not a disjoint
-            # shard) and cannot be summed for the campaign total.
-            if isinstance(record.get("jobs"), int):
-                header_jobs = int(record["jobs"])
-            break
-    else:
+    header = _header(records)
+    if header is None:
         raise ConfigError(
             f"{ledger_path} is not a run ledger (missing header)"
         )
+    plan_name = header.get("plan_name", "campaign")
+    plan_key = header.get("plan_key")
+    # Experiment-store ledgers declare the grid size up front: store
+    # workers claim jobs dynamically, so their per-shard heartbeat
+    # totals describe the whole grid (not a disjoint shard) and cannot
+    # be summed for the campaign total.
+    header_jobs = _grid_size(header)
+    shard_paths = list_shards(ledger_path)
+    store_jobs: Optional[int] = None
+    private = private_store_path(ledger_path) / "ledger.jsonl"
+    if private.is_file():
+        # A running --workers N campaign: its worker shards live in the
+        # private store, whose grid is the jobs still pending.
+        store_jobs = _grid_size(_header(read_ledger_records(private)[0]))
+        shard_paths += list_shards(private)
     if plan_name == "campaign" or plan_key is None:
         # Older headers (or hand-rolled ledgers) may lack identity; the
         # heartbeats themselves carry it since they label multi-campaign
@@ -285,7 +300,7 @@ def read_live(
     # Live shards: per-worker heartbeats plus any terminal rows a
     # worker fsynced that the parent has not merged yet.
     shard_total = 0
-    for path in list_shards(ledger_path):
+    for path in shard_paths:
         shard_records, _ = read_ledger_records(path)
         worker: Optional[int] = None
         beats: List[dict] = []
@@ -339,7 +354,9 @@ def read_live(
         status.done = wstat.done
         status.failed = wstat.failed
     elif status.workers:
-        status.total = len(terminal) + shard_total
+        status.total = len(terminal) + (
+            shard_total if store_jobs is None else store_jobs
+        )
     else:
         status.total = len(terminal)
     if header_jobs is not None:

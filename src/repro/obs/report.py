@@ -185,6 +185,21 @@ def _fmt(value, spec: str = ".4g", fallback: str = "-") -> str:
         return str(value)
 
 
+def run_seeds(run: Dict) -> str:
+    """What seeds a traced run's randomness: the ``telemetry_noise`` /
+    ``noise_seed`` attrs of traces recorded before telemetry noise
+    became a fault schedule, else the fault schedule's kinds and seed."""
+    if "telemetry_noise" in run or "noise_seed" in run:
+        return "telemetry_noise={} noise_seed={}".format(
+            _fmt(run.get("telemetry_noise")), run.get("noise_seed", "-")
+        )
+    if run.get("fault_kinds"):
+        return "faults={} fault_seed={}".format(
+            ",".join(run["fault_kinds"]), run.get("fault_seed", "-")
+        )
+    return "fault-free"
+
+
 def _fmt_us(seconds: float) -> str:
     """Microseconds with NaN spelled out (empty-histogram quantiles)."""
     if seconds != seconds:
@@ -208,11 +223,7 @@ def render(summary: Dict, top: int = 5, max_timeline_rows: int = 64) -> str:
                 run.get("n_epochs", "?"),
             )
         )
-        lines.append(
-            "determinism: telemetry_noise={} noise_seed={}".format(
-                _fmt(run.get("telemetry_noise")), run.get("noise_seed", "-")
-            )
-        )
+        lines.append(f"determinism: {run_seeds(run)}")
 
     epochs = summary.get("epochs", [])
     lines.append("")

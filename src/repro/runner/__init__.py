@@ -8,24 +8,26 @@ This package is the host-side execution layer that guarantees it:
 * :mod:`repro.runner.plan` — declarative campaign plans (JSON files or
   the built-in Table-5 plan) and content-addressed job keys;
 * :mod:`repro.runner.ledger` — the durable, fsynced JSONL run ledger
-  that makes any campaign resumable, plus the per-worker shard
-  read/merge machinery behind parallel campaigns;
+  that makes any campaign resumable, plus the plan-order merge that
+  folds record groups written by other processes back into it;
 * :mod:`repro.runner.supervisor` — per-job deadline watchdog, retry
   backoff, and the host-level (``job_hang``/``job_crash``/``job_oom``)
   fault injector;
 * :mod:`repro.runner.worker` — portable job descriptions and the
-  child-process entry point parallel campaigns fan out to;
+  child-process entry point parallel campaigns fork;
 * :mod:`repro.runner.executor` — the :class:`SuiteRunner` tying them
-  together (serial or ``workers=N`` sharded), plus :func:`run_plan`
+  together (serial, or ``workers=N`` forked processes claiming jobs
+  from a private store beside the ledger), plus :func:`run_plan`
   behind ``repro suite-run``;
 * :mod:`repro.runner.report` — post-hoc ledger summaries and diffs
   behind ``repro suite-report``;
 * :mod:`repro.runner.lease` — atomic lease files (claim, renew,
   reclaim) for cooperating worker processes;
-* :mod:`repro.runner.store` — the multi-host campaign fabric: a shared
-  file-backed experiment store any number of independently-launched
-  ``repro worker`` processes claim jobs from, behind
-  ``repro suite-run --store``;
+* :mod:`repro.runner.store` — the campaign fabric: a file-backed
+  experiment store any number of processes claim jobs from — shared
+  by independently-launched ``repro worker`` processes behind
+  ``repro suite-run --store``, private to one run behind
+  ``--workers N``;
 * :mod:`repro.runner.fsck` — the ``repro fsck`` scanner/repairer for
   store trees and ledgers (torn records, trailer mismatches, orphan
   tmp files, dead leases, missing result groups).
@@ -56,7 +58,6 @@ from repro.runner.ledger import (
     list_shards,
     merge_shards,
     read_ledger_records,
-    read_shard,
     recover_shards,
     shard_path,
     verify_trailer,
@@ -117,7 +118,6 @@ __all__ = [
     "plan_portable_jobs",
     "predicted_cost",
     "read_ledger_records",
-    "read_shard",
     "recover_shards",
     "run_fsck",
     "run_plan",

@@ -9,16 +9,19 @@ after every terminal row, and clean SIGINT checkpointing. A failed job
 becomes a ``failed`` row in the :class:`SuiteReport` — the sweep always
 finishes.
 
-Parallel campaigns (``workers > 1``) fan the pending jobs out over a
-``ProcessPoolExecutor``: worker ``k`` runs its slice under the *same*
-supervision discipline in a child process, checkpointing into a private
-``<ledger>.w<k>`` shard, and the parent merges the shards back into the
-canonical ledger in plan order (:func:`repro.runner.ledger.merge_shards`).
-Because job identity is content-addressed, retry jitter is seeded per
-job, and host-fault draws are stateless per ``(seed, spec, job,
-attempt)``, the merged ledger and report are byte-identical to a serial
-run's — modulo wall-clock fields — regardless of worker count or
-completion order.
+Parallel campaigns (``workers > 1``) register the pending jobs in a
+private experiment store (:mod:`repro.runner.store`) beside the ledger
+— ``<ledger>.store``, or a temporary directory without one — and fork
+N processes that claim jobs from it one at a time, each running them
+under the *same* supervision discipline and publishing every job's
+record group. The parent then folds the published groups into the
+canonical ledger in plan order (:func:`repro.runner.ledger.recover_shards`)
+and deletes the store; a store left by a killed run is folded the same
+way on ``--resume``. Because job identity is content-addressed, retry
+jitter is seeded per job, and host-fault draws are stateless per
+``(seed, spec, job, attempt)``, the merged ledger and report are
+byte-identical to a serial run's — modulo wall-clock fields —
+regardless of worker count, claim order, or completion order.
 
 Determinism contract: given the same plan, seeds, and code, the
 report's :meth:`SuiteReport.stable_dict` is byte-identical whether the
@@ -40,9 +43,9 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.obs import profile as obs_profile
@@ -52,14 +55,7 @@ from repro.errors import (
     ReproError,
     RetryableError,
 )
-from repro.runner.ledger import (
-    RunLedger,
-    list_shards,
-    merge_shards,
-    read_shard,
-    recover_shards,
-    shard_path,
-)
+from repro.runner.ledger import RunLedger, private_store_path, recover_shards
 from repro.runner.plan import CampaignPlan
 from repro.runner.supervisor import (
     HostFaultInjector,
@@ -94,8 +90,8 @@ class CampaignInterrupted(KeyboardInterrupt):
     Subclasses :class:`KeyboardInterrupt` so an uncaught interrupt
     still behaves like one; the CLI catches it to print the resume
     hint and exit 130. In a parallel campaign the parent fans the
-    signal out to every worker, drains their shards into the canonical
-    ledger, and raises this once — one resume hint, not N.
+    signal out to every worker, folds what they published into the
+    canonical ledger, and raises this once — one resume hint, not N.
     """
 
     def __init__(
@@ -204,11 +200,12 @@ class SuiteRunner:
     """Runs jobs under one supervision/ledger discipline.
 
     ``workers=1`` (default) executes sequentially in-process;
-    ``workers=N`` shards portable jobs across N child processes (only
-    :meth:`run_portable` can parallelize — :meth:`run` takes live
-    callables, which cannot cross a process boundary). ``worker`` is
-    the rank when this runner *is* a child executing one shard; it is
-    attributed on every ``runner.job.*`` event the runner emits.
+    ``workers=N`` runs portable jobs in N child processes working a
+    private experiment store (only :meth:`run_portable` can
+    parallelize — :meth:`run` takes live callables, which cannot cross
+    a process boundary). ``worker`` is the rank when this runner *is*
+    a worker process; it is attributed on every ``runner.job.*`` event
+    the runner emits.
     """
 
     def __init__(
@@ -233,38 +230,44 @@ class SuiteRunner:
 
     # ------------------------------------------------------------------
     def _emit(self, recorder, name: str, **attrs) -> None:
-        """Trace event with per-worker attribution when sharded."""
+        """Trace event with per-worker attribution in a worker."""
         if self.worker is not None:
             attrs["worker"] = self.worker
         recorder.event(name, **attrs)
 
     # ------------------------------------------------------------------
     def run(self, jobs: Sequence[Job], name: str = "campaign") -> SuiteReport:
+        """Run live jobs in this process, skipping ledger-settled ones."""
+        return self._supervise(jobs, name, {})
+
+    def _supervise(
+        self, jobs: Sequence[Job], name: str, settled: Dict[str, dict]
+    ) -> SuiteReport:
+        """The one report loop: each job's row comes from ``settled``
+        (terminal records worker processes produced), else from the
+        ledger (resumed), else from running it here."""
         recorder = obs.get_recorder()
         report = SuiteReport(
             name=name,
             ledger_path=str(self.ledger.path) if self.ledger else None,
         )
         started = time.perf_counter()
-        rows: List[Optional[dict]] = [None] * len(jobs)
-        completed = 0
+        rows: List[dict] = []
         n_ok = 0
         n_failed = 0
         try:
-            for position, job in enumerate(jobs):
+            for job in jobs:
                 cached = (
                     self.ledger.completed.get(job.key)
                     if self.ledger is not None
                     else None
                 )
-                if cached is not None:
-                    rows[position] = dict(cached["row"])
+                if job.key in settled:
+                    row = dict(settled[job.key]["row"])
+                    _count_terminal(row)
+                elif cached is not None:
+                    row = dict(cached["row"])
                     report.n_resumed += 1
-                    completed += 1
-                    if cached["row"].get("status") == "ok":
-                        n_ok += 1
-                    else:
-                        n_failed += 1
                     self._emit(
                         recorder,
                         "runner.job.resumed",
@@ -275,18 +278,18 @@ class SuiteRunner:
                     obs.metrics.counter(
                         "runner.jobs", "campaign jobs by terminal status"
                     ).labels(status="resumed").inc()
-                    continue
-                if self.ledger is not None:
-                    # Liveness for `repro top`: who is about to run what.
-                    self.ledger.heartbeat(
-                        done=n_ok,
-                        failed=n_failed,
-                        total=len(jobs),
-                        job=job.label,
-                    )
-                row = self._run_one(job, recorder)
-                rows[position] = row
-                completed += 1
+                else:
+                    if self.ledger is not None:
+                        # Liveness for `repro top`: who is about to run
+                        # what.
+                        self.ledger.heartbeat(
+                            done=n_ok,
+                            failed=n_failed,
+                            total=len(jobs),
+                            job=job.label,
+                        )
+                    row = self._run_one(job, recorder)
+                rows.append(row)
                 if row.get("status") == "ok":
                     n_ok += 1
                 else:
@@ -297,12 +300,12 @@ class SuiteRunner:
                 )
         except KeyboardInterrupt:
             raise CampaignInterrupted(
-                report.ledger_path, completed, len(jobs)
+                report.ledger_path, len(rows), len(jobs)
             ) from None
         finally:
             if self.ledger is not None:
                 self.ledger.close()
-        report.rows = [row for row in rows if row is not None]
+        report.rows = rows
         report.duration_s = round(time.perf_counter() - started, 6)
         return report
 
@@ -315,266 +318,165 @@ class SuiteRunner:
     ) -> SuiteReport:
         """Run portable job descriptions, parallel when ``workers > 1``.
 
-        The serial path rebuilds each description into a live
-        :class:`Job` and delegates to :meth:`run`, so both paths share
-        the retry/quarantine/ledger machinery exactly.
+        Pending jobs go to worker processes first (:meth:`_run_on_store`);
+        the rows they settle then flow through the same loop as resumed
+        and serial rows, so every path shares the report, metric and
+        retry/quarantine/ledger machinery exactly.
         """
-        if self.workers <= 1 or len(jobs) <= 1:
-            return self.run([build_job(job) for job in jobs], name=name)
-        return self._run_parallel(jobs, name=name, plan_key=plan_key)
+        pending = [
+            job
+            for job in jobs
+            if self.ledger is None or job.key not in self.ledger.completed
+        ]
+        settled: Dict[str, dict] = {}
+        if self.workers > 1 and len(pending) > 1:
+            try:
+                settled = self._run_on_store(jobs, pending, name, plan_key)
+            except BaseException:
+                if self.ledger is not None:
+                    self.ledger.close()
+                raise
+        return self._supervise(
+            [build_job(job) for job in jobs], name, settled
+        )
 
     # ------------------------------------------------------------------
-    def _run_parallel(
+    def _run_on_store(
         self,
         jobs: Sequence[PortableJob],
+        pending: Sequence[PortableJob],
         name: str,
-        plan_key: Optional[str] = None,
-    ) -> SuiteReport:
-        """Shard pending jobs across worker processes and merge back."""
+        plan_key: Optional[str],
+    ) -> Dict[str, dict]:
+        """Work ``pending`` from a private store in N forked processes
+        and fold what they publish into the ledger, in plan order.
+
+        Returns the settled terminal records by job key. Raises
+        :class:`CampaignInterrupted` after a SIGINT, and
+        :class:`~repro.errors.ReproError` when dead workers lost jobs —
+        either way after everything published was folded in.
+        """
         import concurrent.futures as cf
 
-        recorder = obs.get_recorder()
-        report = SuiteReport(
-            name=name,
-            ledger_path=str(self.ledger.path) if self.ledger else None,
-        )
-        started = time.perf_counter()
-        rows: Dict[int, dict] = {}
-        pending: List[PortableJob] = []
-        for job in jobs:
-            cached = (
-                self.ledger.completed.get(job.key)
-                if self.ledger is not None
-                else None
-            )
-            if cached is not None:
-                rows[job.index] = dict(cached["row"])
-                report.n_resumed += 1
-                self._emit(
-                    recorder,
-                    "runner.job.resumed",
-                    key=job.key,
-                    label=job.label,
-                    index=job.index,
-                )
-                obs.metrics.counter(
-                    "runner.jobs", "campaign jobs by terminal status"
-                ).labels(status="resumed").inc()
-            else:
-                pending.append(job)
-        if not pending:
-            if self.ledger is not None:
-                self.ledger.close()
-            report.rows = [rows[i] for i in sorted(rows)]
-            report.duration_s = round(time.perf_counter() - started, 6)
-            return report
+        from repro.runner.store import ExperimentStore
 
-        if plan_key is None:
-            plan_key = (
-                self.ledger.plan_key if self.ledger is not None else name
-            )
+        recorder = obs.get_recorder()
         n_workers = min(self.workers, len(pending))
         obs.metrics.gauge(
             "runner.workers",
             "worker processes of the last parallel campaign",
         ).set(n_workers)
-
-        tempdir: Optional[str] = None
-        if self.ledger is not None:
-            base = self.ledger.path
-        else:
-            # No canonical ledger: shards still carry the results across
-            # the process boundary, they just live in a throwaway dir.
-            tempdir = tempfile.mkdtemp(prefix="repro-shards-")
-            base = Path(tempdir) / "campaign.jsonl"
-
-        # Round-robin over pending order: worker k gets pending[k::N].
-        partitions = [
-            pending[rank::n_workers] for rank in range(n_workers)
-        ]
-        config_dict = asdict(self.config)
-        faults_dict = (
-            self.faults_schedule.as_dict()
-            if self.faults_schedule is not None
-            else None
+        # Without --ledger the fold still needs a canonical ledger: a
+        # throwaway one, with its store, in a temporary directory.
+        tempdir = None if self.ledger else tempfile.mkdtemp(prefix="repro-")
+        ledger = self.ledger or RunLedger(
+            Path(tempdir) / "campaign.jsonl",
+            plan_key=plan_key or name,
+            plan_name=name,
         )
+        root = private_store_path(ledger.path)
         profiler = obs_profile.get_profiler()
-        summaries: List[dict] = []
-        worker_errors: List[Tuple[int, str]] = []
+        outcomes: Dict[int, dict] = {}
         interrupted = False
-        shards = []
         try:
+            # A store the caller did not recover is stale: start afresh.
+            shutil.rmtree(root, ignore_errors=True)
+            ExperimentStore.create_private(
+                root,
+                pending,
+                name=name,
+                plan_key=ledger.plan_key,
+                config=self.config,
+                faults=self.faults_schedule,
+            )
+            payload = {"store": str(root), "profile": profiler.enabled}
             pool = cf.ProcessPoolExecutor(max_workers=n_workers)
             try:
                 futures = {}
-                for rank, part in enumerate(partitions):
-                    self._emit(
-                        recorder,
-                        "runner.worker.spawn",
-                        worker=rank,
-                        jobs=len(part),
+                for rank in range(n_workers):
+                    self._emit(recorder, "runner.worker.spawn", worker=rank)
+                    future = pool.submit(
+                        run_worker_shard, {**payload, "worker": rank}
                     )
-                    payload = {
-                        "worker": rank,
-                        "shard_path": str(shard_path(base, rank)),
-                        "plan_key": plan_key,
-                        "plan_name": name,
-                        "config": config_dict,
-                        "faults": faults_dict,
-                        "profile": profiler.enabled,
-                        "jobs": [job.as_dict() for job in part],
-                    }
-                    futures[pool.submit(run_worker_shard, payload)] = rank
+                    futures[future] = rank
                 try:
                     for future in cf.as_completed(futures):
                         rank = futures[future]
                         try:
-                            summary = future.result()
+                            outcome = future.result()
                         except KeyboardInterrupt:
                             raise
                         except BaseException as exc:  # noqa: BLE001
                             # A worker died hard (BrokenProcessPool,
-                            # pickling failure, ...): its fsynced shard
-                            # is still merged below.
-                            error = f"{type(exc).__name__}: {exc}"
-                            worker_errors.append((rank, error))
+                            # pickling failure, ...): what it published
+                            # is still folded below.
+                            outcome = {
+                                "worker": rank,
+                                "error": f"{type(exc).__name__}: {exc}",
+                            }
+                            self._emit(
+                                recorder, "runner.worker.failed", **outcome
+                            )
+                        else:
+                            # Workers profile their own process; fold
+                            # their span trees into the campaign's.
+                            profiler.merge(outcome.pop("profile", None))
+                            interrupted |= outcome["interrupted"]
                             self._emit(
                                 recorder,
-                                "runner.worker.failed",
-                                worker=rank,
-                                error=error,
+                                "runner.worker.done",
+                                worker=outcome["worker"],
+                                jobs=outcome.get("jobs", 0),
+                                interrupted=outcome["interrupted"],
                             )
-                            continue
-                        summaries.append(summary)
-                        # Workers profile their own process; fold their
-                        # span trees into the campaign profile.
-                        profiler.merge(summary.get("profile"))
-                        if summary.get("interrupted"):
-                            interrupted = True
-                        self._emit(
-                            recorder,
-                            "runner.worker.done",
-                            worker=summary.get("worker", rank),
-                            jobs=summary.get("n_jobs", 0),
-                            interrupted=bool(summary.get("interrupted")),
-                        )
+                        outcomes[rank] = outcome
                 except KeyboardInterrupt:
                     # SIGINT fan-out: forward to every live worker so
-                    # each checkpoints its shard, then drain the pool.
+                    # each stops cleanly, then drain the pool.
                     interrupted = True
                     self._signal_workers(pool)
             finally:
                 pool.shutdown(wait=True, cancel_futures=True)
-
-            # Deterministic merge: whole per-job record groups, in plan
-            # order, into the canonical ledger (or straight out of the
-            # shards when no ledger was armed).
-            key_order = [job.key for job in jobs]
-            for rank in range(n_workers):
-                path = shard_path(base, rank)
-                if not path.exists():
-                    continue
-                shard = read_shard(path, plan_key)
-                if shard is not None:
-                    shards.append(shard)
-            if self.ledger is not None:
-                stats = merge_shards(self.ledger, shards, key_order)
-                entries: Dict[int, dict] = {}
-                for summary in summaries:
-                    rank = int(summary.get("worker", -1))
-                    entries[rank] = {
-                        "worker": rank,
-                        "jobs": summary.get("n_jobs", 0),
-                        "ok": summary.get("ok", 0),
-                        "failed": summary.get("failed", 0),
-                        "interrupted": bool(summary.get("interrupted")),
-                        "duration_s": summary.get("duration_s", 0.0),
-                    }
-                for rank, error in worker_errors:
-                    entries.setdefault(rank, {"worker": rank})[
-                        "error"
-                    ] = error
-                self.ledger.append_merge_record(
-                    {
-                        "workers": n_workers,
-                        "merged_jobs": stats.merged_jobs,
-                        "merged_records": stats.merged_records,
-                        "torn_lines": stats.torn_lines,
-                        "by_worker": [
-                            entries[rank] for rank in sorted(entries)
-                        ],
-                    }
-                )
-                source = self.ledger.completed
-            else:
-                source = {}
-                for key in key_order:
-                    for shard in shards:
-                        terminal = shard.terminal(key)
-                        if terminal is not None:
-                            source[key] = terminal
-                            break
-
-            missing: List[PortableJob] = []
-            for job in pending:
-                record = source.get(job.key)
-                if record is None:
-                    missing.append(job)
-                    continue
-                row = dict(record["row"])
-                rows[job.index] = row
-                status = (
-                    "ok" if row.get("status") == "ok" else "failed"
-                )
-                obs.metrics.counter(
-                    "runner.jobs", "campaign jobs by terminal status"
-                ).labels(status=status).inc()
-                if status == "failed":
-                    kind = (row.get("failure") or {}).get(
-                        "kind", "unknown"
-                    )
-                    obs.metrics.counter(
-                        "runner.quarantined",
-                        "jobs quarantined, by failure kind",
-                    ).labels(kind=kind).inc()
-            # Shards are merged (or interrupted work will be re-run from
-            # the canonical ledger's in-flight state): drop them.
-            for shard in shards:
-                try:
-                    shard.path.unlink()
-                except OSError:  # pragma: no cover - best effort
-                    pass
+            stats = recover_shards(ledger, [job.key for job in jobs])
+            ledger.append_merge_record(
+                {
+                    "workers": n_workers,
+                    "merged_jobs": stats.merged_jobs,
+                    "merged_records": stats.merged_records,
+                    "by_worker": [outcomes[r] for r in sorted(outcomes)],
+                }
+            )
         finally:
             if tempdir is not None:
+                ledger.close()
                 shutil.rmtree(tempdir, ignore_errors=True)
-            if self.ledger is not None:
-                self.ledger.close()
-
-        report.rows = [rows[i] for i in sorted(rows)]
-        report.duration_s = round(time.perf_counter() - started, 6)
+        settled = {
+            job.key: ledger.completed[job.key]
+            for job in pending
+            if job.key in ledger.completed
+        }
+        ledger_path = str(self.ledger.path) if self.ledger else None
         if interrupted:
             raise CampaignInterrupted(
-                report.ledger_path, len(rows), len(jobs)
+                ledger_path, len(jobs) - len(pending) + len(settled), len(jobs)
             )
-        if missing:
-            details = (
-                "; ".join(
-                    f"worker {rank}: {error}"
-                    for rank, error in sorted(worker_errors)
-                )
-                or "no terminal rows in any shard"
-            )
-            where = (
-                f"ledger checkpointed at {report.ledger_path} — "
-                f"rerun with --resume"
-                if report.ledger_path
-                else "no ledger was armed; rerun the campaign"
+        if len(settled) < len(pending):
+            errors = "; ".join(
+                f"worker {o['worker']}: {o['error']}"
+                for o in outcomes.values()
+                if "error" in o
             )
             raise ReproError(
-                f"{len(missing)} job(s) lost to dead workers "
-                f"({details}); {where}"
+                f"{len(pending) - len(settled)} job(s) lost to dead "
+                f"workers ({errors or 'no terminal rows in the store'}); "
+                + (
+                    f"ledger checkpointed at {ledger_path} — rerun with "
+                    f"--resume"
+                    if ledger_path
+                    else "no ledger was armed; rerun the campaign"
+                )
             )
-        return report
+        return settled
 
     # ------------------------------------------------------------------
     def run_single(self, job: Job, ledger=None) -> dict:
@@ -707,9 +609,6 @@ class SuiteRunner:
                 label=job.label,
                 attempts=attempts,
             )
-            obs.metrics.counter(
-                "runner.jobs", "campaign jobs by terminal status"
-            ).labels(status="ok").inc()
         else:
             row.update(
                 status="failed", attempts=attempts,
@@ -726,13 +625,20 @@ class SuiteRunner:
                 kind=failure.kind,
                 error=failure.error,
             )
-            obs.metrics.counter(
-                "runner.jobs", "campaign jobs by terminal status"
-            ).labels(status="failed").inc()
-            obs.metrics.counter(
-                "runner.quarantined", "jobs quarantined, by failure kind"
-            ).labels(kind=failure.kind).inc()
+        _count_terminal(row)
         return row
+
+
+def _count_terminal(row: dict) -> None:
+    """Campaign metrics of one terminal row, wherever it ran."""
+    status = "ok" if row.get("status") == "ok" else "failed"
+    obs.metrics.counter(
+        "runner.jobs", "campaign jobs by terminal status"
+    ).labels(status=status).inc()
+    if status == "failed":
+        obs.metrics.counter(
+            "runner.quarantined", "jobs quarantined, by failure kind"
+        ).labels(kind=(row.get("failure") or {}).get("kind", "unknown")).inc()
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +654,8 @@ def run_plan(
 
     ``ledger_path`` arms checkpointing (required for ``resume``);
     ``max_jobs`` stops after that many *newly executed* jobs — a
-    deterministic interruption point used by tests, CI, and sharded
-    campaigns — leaving the ledger resumable. ``workers`` fans pending
+    deterministic interruption point used by tests and CI — leaving
+    the ledger resumable. ``workers`` fans pending
     jobs across that many processes; results are byte-identical to a
     serial run regardless of the count (resuming with a *different*
     worker count is fine for the same reason).
@@ -762,7 +668,6 @@ def run_plan(
             plan_name=plan.name,
             resume=resume,
         )
-        key_order = [spec.key() for spec in plan.jobs]
         if resume:
             if ledger.n_skipped:
                 # Torn lines in the canonical ledger are tolerated on
@@ -778,30 +683,21 @@ def run_plan(
                     "runner.ledger.torn_lines",
                     "damaged ledger lines skipped on resume",
                 ).inc(ledger.n_skipped)
-            # A killed parallel run may have left worker shards behind:
-            # fold every terminal row they fsynced into the canonical
+            # A killed parallel run may have left its private store
+            # behind: fold every group it published into the canonical
             # ledger so only genuinely unfinished jobs re-run.
-            stats = recover_shards(ledger, key_order)
-            if (
-                stats.merged_records
-                or stats.torn_lines
-                or stats.skipped_shards
-            ):
+            stats = recover_shards(ledger, [spec.key() for spec in plan.jobs])
+            if stats.merged_records or stats.skipped_shards:
                 obs.get_recorder().event(
                     "runner.shards.recovered",
                     jobs=stats.merged_jobs,
                     records=stats.merged_records,
-                    torn=stats.torn_lines,
                     foreign=stats.skipped_shards,
                 )
         else:
-            # Fresh campaign: stale shards beside the new ledger would
-            # pollute a later resume with rows from an older run.
-            for stray in list_shards(ledger.path):
-                try:
-                    stray.unlink()
-                except OSError:  # pragma: no cover - best effort
-                    pass
+            # Fresh campaign: a stale private store beside the new
+            # ledger would pollute a later resume with an older run.
+            shutil.rmtree(private_store_path(ledger.path), ignore_errors=True)
     runner = SuiteRunner(
         config=config, ledger=ledger, faults=plan.faults, workers=workers
     )

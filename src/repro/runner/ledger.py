@@ -1,5 +1,4 @@
-"""The durable run ledger: what makes a campaign resumable — and, since
-the runner went parallel, the shared journal N workers checkpoint into.
+"""The durable run ledger: what makes a campaign resumable.
 
 A :class:`RunLedger` is an append-only JSONL file recording the life of
 every job in a campaign: ``start`` when an attempt begins, ``retry``
@@ -19,16 +18,16 @@ re-run from scratch. Identity is the content-addressed job key
 (:func:`repro.runner.plan.job_key`), so editing unrelated jobs in a
 plan does not invalidate completed work.
 
-Parallel campaigns shard the journal: worker ``k`` appends to its own
-``<ledger>.w<k>`` file (same record format, header carries the worker
-rank), and the parent merges the shards back into the canonical ledger
-with :func:`merge_shards` — per job, in plan order, so the merged
-ledger is byte-identical to a serial run's (modulo wall-clock fields)
-regardless of worker count or completion order. Merging is
-first-terminal-wins and skips jobs the canonical ledger already
-completed, which makes it idempotent and order-insensitive; stale
-shards left behind by a dead worker are unioned the same way on the
-next resume (:func:`recover_shards`) and then deleted.
+Records written elsewhere come back through :func:`merge_shards`: per
+job, in plan order, first-terminal-wins, skipping jobs the canonical
+ledger already completed — so it is idempotent and the merged ledger
+is byte-identical to a serial run's (modulo wall-clock fields)
+whichever process produced each group. The experiment store finalizes
+through it, and a ``--workers N`` run folds the private store it keeps
+at ``<ledger>.store`` back through it (:func:`recover_shards`) — when
+its workers return, or on the next ``--resume`` after a killed run.
+Store workers keep per-worker ``<ledger>.w<k>`` shards (same record
+format, header carries the worker rank) for ``repro top``.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,8 +68,8 @@ __all__ = [
     "MergeStats",
     "shard_path",
     "list_shards",
+    "private_store_path",
     "read_ledger_records",
-    "read_shard",
     "merge_shards",
     "recover_shards",
     "compact_ledger",
@@ -82,7 +82,7 @@ LEDGER_VERSION = 1
 TERMINAL_TYPES = ("done", "quarantined")
 
 #: Volatile record types: provenance/progress only, never job state.
-#: The byte-identical merge drops them and resume ignores them.
+#: Resume ignores them and published record groups never carry them.
 #: ``trailer`` is the checksum line :func:`compact_ledger` appends.
 VOLATILE_TYPES = ("merge", "heartbeat", "trailer")
 
@@ -108,6 +108,12 @@ def list_shards(base: Union[str, Path]) -> List[Path]:
         if match and entry.name == prefix + match.group(1):
             found.append((int(match.group(1)), entry))
     return [path for _, path in sorted(found)]
+
+
+def private_store_path(base: Union[str, Path]) -> Path:
+    """The private experiment store a ``--workers N`` run keeps beside
+    its canonical ledger while it runs."""
+    return Path(f"{base}.store")
 
 
 def read_ledger_records(
@@ -159,7 +165,6 @@ class RunLedger:
         plan_name: str = "campaign",
         resume: bool = False,
         worker: Optional[int] = None,
-        overwrite: bool = False,
         exclusive: bool = False,
         header_extra: Optional[Dict[str, object]] = None,
     ) -> None:
@@ -174,16 +179,12 @@ class RunLedger:
         self.in_flight: List[str] = []
         #: Undecodable lines skipped on load (torn/damaged records).
         self.n_skipped: int = 0
-        if overwrite and self.path.exists():
-            self.path.unlink()
         if exclusive:
             # Store workers race to claim a shard rank: the O_EXCL
             # create *is* the claim, so the exists-check above would
             # only narrow the window, not close it.
-            if resume or overwrite:
-                raise ConfigError(
-                    "exclusive ledger creation cannot resume/overwrite"
-                )
+            if resume:
+                raise ConfigError("exclusive ledger creation cannot resume")
             try:
                 fd = os.open(
                     os.fspath(self.path),
@@ -361,13 +362,10 @@ class RunLedger:
 # ---------------------------------------------------------------------------
 @dataclass
 class ShardData:
-    """One worker shard, parsed and grouped for merging."""
+    """Per-job record groups from elsewhere, ready for merging."""
 
-    path: Path
-    worker: Optional[int]
     #: Per-job record groups, in the shard's own append order.
     by_key: "Dict[str, List[dict]]" = field(default_factory=dict)
-    n_skipped: int = 0
 
     def terminal(self, key: str) -> Optional[dict]:
         for record in self.by_key.get(key, ()):
@@ -384,42 +382,6 @@ class MergeStats:
     merged_records: int = 0
     skipped_completed: int = 0
     skipped_shards: int = 0
-    torn_lines: int = 0
-    by_worker: List[dict] = field(default_factory=list)
-
-
-def read_shard(
-    path: Union[str, Path], plan_key: str
-) -> Optional[ShardData]:
-    """Parse one shard file; ``None`` for a foreign-plan shard.
-
-    Lenient where the canonical loader is strict: a shard missing its
-    header (truncated at the front by a crash or an adversarial test)
-    still yields its surviving records — but a shard whose header names
-    a *different* plan is rejected wholesale rather than polluting the
-    merge.
-    """
-    try:
-        records, skipped = read_ledger_records(path)
-    except (OSError, ConfigError):
-        return None
-    shard = ShardData(path=Path(path), worker=None, n_skipped=skipped)
-    for record in records:
-        kind = record.get("type")
-        if kind == "header":
-            if record.get("plan_key") not in (None, plan_key):
-                return None
-            if shard.worker is None:
-                shard.worker = record.get("worker")
-            continue
-        if kind in VOLATILE_TYPES:
-            continue
-        key = record.get("key")
-        if not isinstance(key, str):
-            shard.n_skipped += 1
-            continue
-        shard.by_key.setdefault(key, []).append(record)
-    return shard
 
 
 def merge_shards(
@@ -483,40 +445,34 @@ def merge_shards(
                 break
         ledger.completed[key] = terminal
         stats.merged_jobs += 1
-    for shard in shards:
-        stats.torn_lines += shard.n_skipped
     return stats
 
 
 def recover_shards(
     ledger: RunLedger, key_order: Sequence[str]
 ) -> MergeStats:
-    """Union stale shard files from a previous (killed) parallel run.
+    """Fold the private store beside ``ledger`` into it, then delete it.
 
-    Called on resume before any new work: every terminal row a dead
-    worker managed to fsync is folded into the canonical ledger, the
-    shard files are deleted, and only genuinely unfinished jobs re-run.
-    Foreign-plan shards are left untouched but counted.
+    A ``--workers N`` run calls this when its workers return; ``--resume``
+    calls it first, so a store left by a killed run contributes every
+    group it published and only genuinely unfinished jobs re-run. A
+    store registered to a different plan is left untouched but counted
+    (``skipped_shards``); one killed before its registration completed
+    holds no results and is just removed.
     """
+    from repro.runner.store import ExperimentStore  # imports this module
+
     stats = MergeStats()
-    shards: List[ShardData] = []
-    stale: List[Path] = []
-    for path in list_shards(ledger.path):
-        shard = read_shard(path, ledger.plan_key)
-        if shard is None:
-            stats.skipped_shards += 1
-            continue
-        shards.append(shard)
-        stale.append(path)
-    if shards:
-        merged = merge_shards(ledger, shards, key_order)
-        merged.skipped_shards = stats.skipped_shards
-        stats = merged
-    for path in stale:
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
+    root = private_store_path(ledger.path)
+    if not root.is_dir():
+        return stats
+    if (root / "store.json").is_file():
+        store = ExperimentStore.attach(root)
+        if store.plan_key != ledger.plan_key:
+            stats.skipped_shards = 1
+            return stats
+        stats = merge_shards(ledger, [store.published_groups()], key_order)
+    shutil.rmtree(root, ignore_errors=True)
     return stats
 
 

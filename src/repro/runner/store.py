@@ -51,6 +51,10 @@ faulted evaluate job carries a dependency edge on its clean twin (the
 same spec minus ``faults``) when that twin is in the plan — if the
 clean run quarantined, the fault sweep is published as a deterministic
 ``dep_skipped`` quarantine row instead of burning a worker on it.
+
+``suite-run --workers N`` runs on a store too: a private one beside its
+ledger (:meth:`ExperimentStore.create_private`), registered without
+dependency edges so it stays row-for-row identical to a serial run.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -330,12 +334,6 @@ class ExperimentStore:
             raise ConfigError(
                 "register exactly one of plan= or jobs= in a store"
             )
-        root = Path(root)
-        if (root / "store.json").is_file():
-            raise ConfigError(
-                f"experiment store at {root} is already registered; "
-                f"attach instead"
-            )
         if plan is not None:
             portable = plan_portable_jobs(plan)
             plan_key = plan.key()
@@ -351,6 +349,50 @@ class ExperimentStore:
                     "name": plan_name,
                     "jobs": [job.as_dict() for job in portable],
                 }
+            )
+        schedule = build_schedule(portable)
+        return cls._register(
+            root, portable, plan_name, plan_key, config, faults, schedule, plan
+        )
+
+    @classmethod
+    def create_private(
+        cls,
+        root: Union[str, Path],
+        jobs: Sequence[PortableJob],
+        name: str,
+        plan_key: str,
+        config: Optional[SupervisorConfig] = None,
+        faults: Optional[FaultSchedule] = None,
+    ) -> "ExperimentStore":
+        """Register the private store behind ``suite-run --workers N``:
+        under the caller's ledger ``plan_key``, and without dependency
+        edges, so every job runs as the serial runner runs it (no
+        ``dep_skipped`` rows)."""
+        schedule = [
+            replace(entry, after=None) for entry in build_schedule(jobs)
+        ]
+        return cls._register(
+            root, list(jobs), name, plan_key, config, faults, schedule
+        )
+
+    @classmethod
+    def _register(
+        cls,
+        root: Union[str, Path],
+        portable: List[PortableJob],
+        plan_name: str,
+        plan_key: str,
+        config: Optional[SupervisorConfig],
+        faults: Optional[FaultSchedule],
+        schedule: List[ScheduleEntry],
+        plan: Optional[CampaignPlan] = None,
+    ) -> "ExperimentStore":
+        root = Path(root)
+        if (root / "store.json").is_file():
+            raise ConfigError(
+                f"experiment store at {root} is already registered; "
+                f"attach instead"
             )
         if not portable:
             raise ConfigError("cannot register an empty job grid")
@@ -369,9 +411,7 @@ class ExperimentStore:
             "jobs": len(portable),
             "config": asdict(config),
             "faults": faults.as_dict() if faults is not None else None,
-            "schedule": [
-                entry.as_dict() for entry in build_schedule(portable)
-            ],
+            "schedule": [entry.as_dict() for entry in schedule],
         }
         root.mkdir(parents=True, exist_ok=True)
         (root / "leases").mkdir(exist_ok=True)
@@ -562,6 +602,17 @@ class ExperimentStore:
                 )
         return records
 
+    def published_groups(self) -> ShardData:
+        """Every published record group, as one shard that
+        :func:`~repro.runner.ledger.merge_shards` folds in plan order.
+        Strict like :meth:`read_result`: a damaged group raises."""
+        shard = ShardData()
+        for job in self.job_list:
+            records = self.read_result(job.key)
+            if records:
+                shard.by_key[job.key] = records
+        return shard
+
     def terminal_row(self, key: str) -> Optional[dict]:
         records = self.read_result(key)
         if not records:
@@ -738,13 +789,11 @@ class ExperimentStore:
                 resume=True,
             )
             try:
-                key_order = [job.key for job in self.job_list]
-                shard = ShardData(path=self.results_dir, worker=None)
-                for key in key_order:
-                    records = self.read_result(key)
-                    if records:
-                        shard.by_key[key] = records
-                stats = merge_shards(ledger, [shard], key_order)
+                stats = merge_shards(
+                    ledger,
+                    [self.published_groups()],
+                    [job.key for job in self.job_list],
+                )
                 if stats.merged_jobs:
                     ledger.append_merge_record(
                         {
@@ -775,46 +824,20 @@ class ExperimentStore:
 # ---------------------------------------------------------------------------
 # The worker loop
 # ---------------------------------------------------------------------------
-class _GroupLedger:
-    """Duck-typed ledger capturing one claimed job's records as a
-    publishable group, mirroring each into the worker's shard so
+class _GroupLedger(RunLedger):
+    """A ledger that captures one claimed job's records as a publishable
+    group instead of a file, mirroring each into the worker's shard so
     ``repro top`` sees live per-worker progress."""
 
-    def __init__(self, shard: Optional[RunLedger]) -> None:
+    def __init__(self, shard: RunLedger) -> None:
+        # No file of its own: only the record API of RunLedger is used.
         self.records: List[dict] = []
+        self.completed: Dict[str, dict] = {}
         self._shard = shard
 
-    def job_started(self, key: str, index: int, attempt: int) -> None:
-        self.records.append(
-            {"type": "start", "key": key, "index": index, "attempt": attempt}
-        )
-        if self._shard is not None:
-            self._shard.job_started(key, index, attempt)
-
-    def job_retried(
-        self, key: str, attempt: int, error: str, backoff_s: float
-    ) -> None:
-        self.records.append(
-            {
-                "type": "retry",
-                "key": key,
-                "attempt": attempt,
-                "error": error,
-                "backoff_s": round(backoff_s, 6),
-            }
-        )
-        if self._shard is not None:
-            self._shard.job_retried(key, attempt, error, backoff_s)
-
-    def job_done(self, key: str, row: dict) -> None:
-        self.records.append({"type": "done", "key": key, "row": row})
-        if self._shard is not None:
-            self._shard.job_done(key, row)
-
-    def job_quarantined(self, key: str, row: dict) -> None:
-        self.records.append({"type": "quarantined", "key": key, "row": row})
-        if self._shard is not None:
-            self._shard.job_quarantined(key, row)
+    def _append(self, record: dict) -> None:
+        self.records.append(record)
+        self._shard._append(record)
 
 
 class _LeaseKeeper:
@@ -832,7 +855,7 @@ class _LeaseKeeper:
         self,
         manager: LeaseManager,
         lease: Lease,
-        shard: Optional[RunLedger],
+        shard: RunLedger,
         interval_s: float,
         progress: Callable[[], tuple],
     ) -> None:
@@ -861,14 +884,13 @@ class _LeaseKeeper:
                 self.lost.set()
                 return
             self.lease = renewed
-            if self._shard is not None:
-                try:
-                    done, failed, total, label = self._progress()
-                    self._shard.heartbeat(
-                        done=done, failed=failed, total=total, job=label
-                    )
-                except (OSError, ValueError):  # pragma: no cover
-                    pass  # a swept shard never blocks renewal
+            try:
+                done, failed, total, label = self._progress()
+                self._shard.heartbeat(
+                    done=done, failed=failed, total=total, job=label
+                )
+            except (OSError, ValueError):  # pragma: no cover
+                pass  # a swept shard never blocks renewal
 
 
 def _skip_records(job: PortableJob, dep_key: str) -> List[dict]:

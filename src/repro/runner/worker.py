@@ -1,4 +1,4 @@
-"""Worker-side execution of campaign shards.
+"""Portable jobs, and the process entry point of parallel campaigns.
 
 Parallel campaigns cannot ship closures to child processes, so the
 unit that crosses the process boundary is a :class:`PortableJob`: a
@@ -14,15 +14,13 @@ into a live :class:`~repro.runner.executor.Job` with
 * ``fail`` — a job that raises a chosen error (adversarial tests of
   the quarantine/retry taxonomy across process boundaries).
 
-:func:`run_worker_shard` is the ``ProcessPoolExecutor`` entry point:
-given a picklable payload (worker rank, shard ledger path, supervisor
-config, fault schedule, job list) it runs its jobs under the standard
-:class:`~repro.runner.executor.SuiteRunner` supervision — per-job
-deadline watchdog, bounded retries, host-fault injection, quarantine —
-appending every record to its private ``<ledger>.w<k>`` shard. The
-parent never trusts the returned summary for results; the fsynced
-shard is the source of truth it merges
-(:func:`repro.runner.ledger.merge_shards`). Workers run with tracing
+:func:`run_worker_shard` is the ``ProcessPoolExecutor`` entry point of
+``suite-run --workers N``: each forked worker attaches the run's
+private experiment store and claims, runs and publishes jobs under the
+standard supervision until none is open
+(:func:`repro.runner.store.run_store_worker`). The parent never trusts
+the returned summary for results; the published groups are the source
+of truth it folds into the canonical ledger. Workers run with tracing
 forced off (a forked child must not interleave writes into the
 parent's trace sink); the parent emits the ``runner.worker.*``
 lifecycle events instead.
@@ -40,6 +38,10 @@ __all__ = ["PortableJob", "build_job", "plan_portable_jobs", "run_worker_shard"]
 
 #: Portable job kinds the worker can rebuild.
 PORTABLE_KINDS = ("evaluate", "sleep", "fail")
+
+#: Idle re-scan interval of a ``--workers N`` worker: short, so the last
+#: worker to go idle adds no long poll to the campaign's tail.
+WORKER_POLL_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -281,22 +283,17 @@ def _job_meta(spec) -> Dict[str, object]:
 
 # ---------------------------------------------------------------------------
 def run_worker_shard(payload: dict) -> dict:
-    """``ProcessPoolExecutor`` entry point: run one worker's shard.
+    """``ProcessPoolExecutor`` entry point: work the private store.
 
-    ``payload`` is JSON-native: ``worker`` (rank), ``shard_path``,
-    ``plan_key``/``plan_name``, ``config`` (SupervisorConfig fields),
-    ``faults`` (schedule dict or None), and ``jobs`` (portable dicts).
-    Every record lands in the fsynced shard ledger; the returned
-    summary is bookkeeping only (rank, wall time, interrupt flag) —
-    the parent reads results from the shard so that a worker killed
-    mid-return loses nothing that was durably written.
+    ``payload`` is JSON-native: ``worker`` (submit rank), ``store``
+    (the private store root), and ``profile``. The worker finishes
+    without finalizing — the parent folds the published groups — and
+    returns bookkeeping only: the run_store_worker summary (``jobs`` it
+    published), an interrupt flag and, when profiled, its span tree.
     """
     from repro import obs
-    from repro.faults.spec import FaultSchedule
     from repro.obs import profile as obs_profile
-    from repro.runner.executor import CampaignInterrupted, SuiteRunner
-    from repro.runner.ledger import RunLedger
-    from repro.runner.supervisor import SupervisorConfig
+    from repro.runner.store import ExperimentStore, run_store_worker
 
     # A forked child inherits the parent's installed recorder and its
     # open sink handle; concurrent appends from N processes would
@@ -308,45 +305,19 @@ def run_worker_shard(payload: dict) -> dict:
     obs.install(None)
     profiler = obs_profile.Profiler() if payload.get("profile") else None
     obs_profile.install(profiler)
-
-    worker = int(payload["worker"])
-    config = SupervisorConfig(**payload.get("config", {}))
-    faults = (
-        FaultSchedule.from_dict(payload["faults"])
-        if payload.get("faults") is not None
-        else None
-    )
-    jobs = [
-        build_job(PortableJob.from_dict(raw)) for raw in payload["jobs"]
-    ]
-    ledger = RunLedger(
-        payload["shard_path"],
-        plan_key=payload["plan_key"],
-        plan_name=payload.get("plan_name", "campaign"),
-        worker=worker,
-        overwrite=True,
-    )
-    runner = SuiteRunner(
-        config=config, ledger=ledger, faults=faults, worker=worker
-    )
-    started = time.perf_counter()
-    summary = {
-        "worker": worker,
-        "n_jobs": len(jobs),
-        "interrupted": False,
-    }
     try:
-        report = runner.run(jobs, name=payload.get("plan_name", "campaign"))
-        counts = report.counts()
-        summary["ok"] = counts.get("ok", 0)
-        summary["failed"] = counts.get("failed", 0)
-    except CampaignInterrupted as exc:
-        # SIGINT reached this worker (terminal fan-out or parent kill):
-        # the shard is already closed and crash-consistent; tell the
-        # parent so it can checkpoint the campaign as interrupted.
-        summary["interrupted"] = True
-        summary["completed"] = exc.completed
-    summary["duration_s"] = round(time.perf_counter() - started, 6)
+        summary = run_store_worker(
+            ExperimentStore.attach(payload["store"]),
+            poll_s=WORKER_POLL_S,
+            finalize=False,
+        )
+        summary["jobs"] = summary.pop("published")
+        summary["interrupted"] = False
+    except KeyboardInterrupt:
+        # SIGINT reached this worker (terminal fan-out or parent
+        # forward): every group it published is durable; tell the
+        # parent so it checkpoints the campaign as interrupted.
+        summary = {"worker": payload["worker"], "interrupted": True}
     if profiler is not None:
         profiler.stop()
         summary["profile"] = profiler.as_dict()

@@ -175,7 +175,7 @@ class TestTraceCommands:
         assert "epoch timeline" in report_out
         assert "reconfigurations by parameter" in report_out
         assert "host decision latency" in report_out
-        assert "noise_seed=0" in report_out
+        assert "determinism: fault-free" in report_out
 
     def test_trace_report_top_flag(self, tmp_path, capsys):
         trace_path = tmp_path / "run.jsonl"

@@ -183,6 +183,27 @@ class TestDiffTraces:
         assert "first divergence: epoch 1" in text
         assert "noise=0.15" in text
 
+    def test_legacy_noise_and_fault_schedule_runs_render(self):
+        """Traces recorded before telemetry noise became a fault
+        schedule keep their noise attrs in diff and trace-report; newer
+        traces name the schedule's kinds and seed instead."""
+        from repro.obs.report import render, summarize
+
+        legacy = _trace([CONFIG_A], telemetry_noise=0.15, noise_seed=7)
+        current = _trace([CONFIG_B])
+        start = current[1]["attrs"]
+        del start["telemetry_noise"], start["noise_seed"]
+        start.update(fault_kinds=["counter_noise"], fault_seed=7)
+        text = render_diff(diff_traces(legacy, current, "old", "new"))
+        assert "telemetry_noise=0.15 noise_seed=7" in text
+        assert "faults=counter_noise fault_seed=7" in text
+        assert "determinism: telemetry_noise=0.15 noise_seed=7" in render(
+            summarize(legacy)
+        )
+        assert "determinism: faults=counter_noise fault_seed=7" in render(
+            summarize(current)
+        )
+
 
 class TestExplain:
     def test_groups_by_epoch_and_filters(self):

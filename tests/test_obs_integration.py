@@ -3,7 +3,8 @@
 import pytest
 
 from repro import obs
-from repro.core import OptimizationMode, TransmuterRuntime
+from repro.core import HardeningConfig, OptimizationMode, TransmuterRuntime
+from repro.faults import noise_schedule
 from repro.obs import report
 from repro.sparse import generators
 
@@ -104,8 +105,8 @@ class TestControllerTracing:
                 model=model,
                 machine=TransmuterModel(),
                 mode=OptimizationMode.ENERGY_EFFICIENT,
-                telemetry_noise=0.05,
-                noise_seed=seed,
+                faults=noise_schedule(0.05, seed=seed),
+                hardening=HardeningConfig.disabled(),
             )
             with obs.recording(None) as recorder:
                 schedule = controller.run(trace)
@@ -117,11 +118,11 @@ class TestControllerTracing:
             return schedule, starts[0]["attrs"]
 
         schedule_a, attrs_a = run_traced(1234)
-        assert attrs_a["noise_seed"] == 1234
-        assert attrs_a["telemetry_noise"] == pytest.approx(0.05)
+        assert attrs_a["fault_seed"] == 1234
+        assert attrs_a["fault_kinds"] == ["counter_noise"]
         # Replaying with the seed recovered from the trace reproduces
         # the noisy run exactly.
-        schedule_b, _ = run_traced(attrs_a["noise_seed"])
+        schedule_b, _ = run_traced(attrs_a["fault_seed"])
         assert schedule_a.summary() == schedule_b.summary()
         assert schedule_a.config_sequence() == schedule_b.config_sequence()
 
@@ -346,8 +347,8 @@ class TestProvenanceRecords:
             model=model,
             machine=TransmuterModel(),
             mode=OptimizationMode.ENERGY_EFFICIENT,
-            telemetry_noise=0.1,
-            noise_seed=3,
+            faults=noise_schedule(0.1, seed=3),
+            hardening=HardeningConfig.disabled(),
         )
         with obs.recording(None) as recorder:
             controller.run(trace)

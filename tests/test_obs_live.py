@@ -1,7 +1,7 @@
 """Tests for live campaign telemetry (repro.obs.live + heartbeats).
 
 Heartbeat records are volatile by contract: every results reader
-(resume, shard merge, byte-parity) must ignore them, while ``repro
+(resume, merge, byte-parity) must ignore them, while ``repro
 top`` builds its whole live view out of them. Covers the ledger
 round-trip, torn-heartbeat tolerance, the EWMA rate math, crafted-shard
 aggregation with straggler/dead flags, the rendered view, the
@@ -28,10 +28,11 @@ from repro.runner import (
 from repro.runner.ledger import (
     LEDGER_VERSION,
     VOLATILE_TYPES,
+    list_shards,
     merge_shards,
     read_ledger_records,
-    read_shard,
 )
+from repro.runner.store import ExperimentStore, run_store_worker
 
 FAST = SupervisorConfig(max_retries=0, backoff_base_s=0.0)
 
@@ -138,35 +139,35 @@ class TestHeartbeatLedgerContract:
                 _beat(2.0, 1, worker=0),
             ],
         )
-        data = read_shard(shard, plan_key="live")
-        assert data is not None
-        # Heartbeats are volatile: not merged, not counted as torn.
+        records, skipped = read_ledger_records(shard)
+        assert skipped == 0
+        assert [r["type"] for r in records].count("heartbeat") == 2
+        data = RunLedger(shard, plan_key="live", resume=True, worker=0)
+        # Heartbeats are volatile: not job state, not counted as torn.
         assert data.n_skipped == 0
-        assert set(data.by_key) == {"s00"}
+        assert set(data.completed) == {"s00"}
+        assert data.in_flight == []
+        data.close()
 
     def test_merge_drops_heartbeats(self, tmp_path):
+        """A store worker pulses heartbeats into its shard, but the
+        record group it publishes — what gets merged — holds none."""
+        store = ExperimentStore.create(
+            tmp_path / "store", jobs=[_sleep_job(0)], name="mg", config=FAST
+        )
+        run_store_worker(store, finalize=False)
+        (shard,) = list_shards(store.ledger_path)
+        shard_records, _ = read_ledger_records(shard)
+        assert "heartbeat" in [r["type"] for r in shard_records]
         base = tmp_path / "merge.jsonl"
         ledger = RunLedger(base, plan_key="mg")
-        shard = shard_path(base, 0)
-        _write_ledger(
-            shard,
-            [
-                _header(plan_key="mg", worker=0),
-                _beat(1.0, 0, worker=0),
-                {
-                    "type": "done",
-                    "key": "s00",
-                    "row": {"status": "ok", "key": "s00"},
-                },
-            ],
-        )
-        data = read_shard(shard, plan_key="mg")
-        merge_shards(ledger, [data], key_order=["s00"])
+        merge_shards(ledger, [store.published_groups()], key_order=["s00"])
         ledger.close()
-        records, _ = read_ledger_records(base)
+        records, skipped = read_ledger_records(base)
         kinds = [r["type"] for r in records]
         assert "heartbeat" not in kinds
         assert "done" in kinds
+        assert skipped == 0
 
     def test_torn_heartbeat_costs_nothing(self, tmp_path):
         path = tmp_path / "torn.jsonl"
@@ -552,7 +553,8 @@ class TestSlowWorkerIntegration:
     def test_live_view_of_running_campaign(self, tmp_path):
         """Watch a real 2-worker campaign mid-run: the worker stuck in
         a slow job ages past a tight straggler threshold while the
-        campaign is still incomplete."""
+        campaign is still incomplete, and the campaign total counts
+        each job once although every worker's heartbeats carry it."""
         base = tmp_path / "slow.jsonl"
         jobs = [_sleep_job(0, seconds=6.0)] + [
             _sleep_job(i) for i in range(1, 4)
@@ -582,10 +584,12 @@ class TestSlowWorkerIntegration:
                 ]
                 if slow and not status.complete:
                     flagged = True
+                    total = status.total
                     break
                 time.sleep(0.2)
         finally:
             thread.join(timeout=30.0)
         assert not thread.is_alive()
         assert flagged, "straggler never flagged during the slow job"
+        assert total == 4
         assert result["report"].counts() == {"ok": 4, "failed": 0}

@@ -32,13 +32,30 @@ from repro.transmuter.counters import PerformanceCounters
 EE = OptimizationMode.ENERGY_EFFICIENT
 
 
+def _noisy(model, machine, sigma, seed, policy=None):
+    """A noise-only controller: telemetry noise as a fault schedule."""
+    return SparseAdaptController(
+        model,
+        machine,
+        EE,
+        policy or HybridPolicy(0.4),
+        faults=noise_schedule(sigma, seed=seed),
+        hardening=HardeningConfig.disabled(),
+    )
+
+
 class TestTelemetryNoise:
     def test_zero_noise_is_exact(self, model_ee, machine, spmspv_trace):
         clean = SparseAdaptController(
             model_ee, machine, EE, HybridPolicy(0.4)
         ).run(spmspv_trace)
         zero_noise = SparseAdaptController(
-            model_ee, machine, EE, HybridPolicy(0.4), telemetry_noise=0.0
+            model_ee,
+            machine,
+            EE,
+            HybridPolicy(0.4),
+            faults=FaultSchedule(),
+            hardening=HardeningConfig.disabled(),
         ).run(spmspv_trace)
         assert clean.total_energy_j == pytest.approx(
             zero_noise.total_energy_j
@@ -50,27 +67,13 @@ class TestTelemetryNoise:
         clean = SparseAdaptController(
             model_ee, machine, EE, HybridPolicy(0.4)
         ).run(spmspv_trace)
-        noisy = SparseAdaptController(
-            model_ee,
-            machine,
-            EE,
-            HybridPolicy(0.4),
-            telemetry_noise=0.3,
-            noise_seed=1,
-        ).run(spmspv_trace)
+        noisy = _noisy(model_ee, machine, 0.3, seed=1).run(spmspv_trace)
         assert noisy.n_epochs == clean.n_epochs
         assert noisy.gflops_per_watt > 0.5 * clean.gflops_per_watt
 
     def test_noise_is_seeded(self, model_ee, machine, spmspv_trace):
         runs = [
-            SparseAdaptController(
-                model_ee,
-                machine,
-                EE,
-                HybridPolicy(0.4),
-                telemetry_noise=0.2,
-                noise_seed=7,
-            ).run(spmspv_trace)
+            _noisy(model_ee, machine, 0.2, seed=7).run(spmspv_trace)
             for _ in range(2)
         ]
         assert runs[0].total_energy_j == pytest.approx(
@@ -78,15 +81,18 @@ class TestTelemetryNoise:
         )
 
     def test_negative_noise_rejected(self, model_ee, machine):
-        with pytest.raises(ConfigError):
-            SparseAdaptController(
-                model_ee, machine, EE, telemetry_noise=-0.1
-            )
+        with pytest.raises(FaultError):
+            noise_schedule(-0.1)
+
 
 
 class TestLegacyNoiseShim:
-    def test_deprecation_warning(self, model_ee, machine):
-        with pytest.warns(DeprecationWarning, match="telemetry_noise"):
+    """The retired ``telemetry_noise``/``noise_seed`` keywords: gone,
+    and the fault schedule that replaced them is silent."""
+
+    def test_legacy_noise_kwargs_removed(self, model_ee, machine):
+        """Telemetry noise has one spelling: a fault schedule."""
+        with pytest.raises(TypeError, match="telemetry_noise"):
             SparseAdaptController(
                 model_ee, machine, EE, telemetry_noise=0.2
             )
@@ -96,46 +102,8 @@ class TestLegacyNoiseShim:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            SparseAdaptController(
-                model_ee, machine, EE, telemetry_noise=0.0
-            )
-
-    def test_shim_matches_explicit_schedule_bit_exactly(
-        self, model_ee, machine, spmspv_trace
-    ):
-        """The deprecated kwargs are a pure shim: the same run through
-        ``faults=noise_schedule(...)`` reproduces the historical noise
-        stream bit-for-bit, not approximately."""
-        with pytest.warns(DeprecationWarning):
-            legacy = SparseAdaptController(
-                model_ee,
-                machine,
-                EE,
-                HybridPolicy(0.4),
-                telemetry_noise=0.2,
-                noise_seed=7,
-            ).run(spmspv_trace)
-        explicit = SparseAdaptController(
-            model_ee,
-            machine,
-            EE,
-            HybridPolicy(0.4),
-            faults=noise_schedule(0.2, seed=7),
-            hardening=HardeningConfig.disabled(),
-        ).run(spmspv_trace)
-        assert legacy.total_energy_j == explicit.total_energy_j
-        assert legacy.total_time_s == explicit.total_time_s
-        assert legacy.n_reconfigurations == explicit.n_reconfigurations
-
-    def test_noise_cannot_combine_with_faults(self, model_ee, machine):
-        with pytest.raises(ConfigError):
-            SparseAdaptController(
-                model_ee,
-                machine,
-                EE,
-                telemetry_noise=0.1,
-                faults=mixed_schedule(0.1),
-            )
+            SparseAdaptController(model_ee, machine, EE)
+            _noisy(model_ee, machine, 0.2, seed=7)
 
 
 class TestHardeningConfig:

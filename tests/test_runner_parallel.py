@@ -1,7 +1,7 @@
 """Adversarial tests for the parallel suite runner: worker-count
 byte-parity, kill/resume with mixed worker counts, SIGINT fan-out,
-fault-injected (torn/duplicated/stale) ledger shards, worker-quarantine
-isolation, and the ``--workers`` CLI surface.
+torn and duplicated record groups, leftover private stores,
+worker-quarantine isolation, and the ``--workers`` CLI surface.
 
 The CI matrix exports ``REPRO_TEST_WORKERS`` (1/2/4); tests that only
 need *a* parallel worker count honor it so every matrix leg exercises a
@@ -24,6 +24,7 @@ from repro.faults import FaultSchedule
 from repro.obs.sinks import MemorySink
 from repro.runner import (
     CampaignPlan,
+    JobSpec,
     PortableJob,
     RunLedger,
     SuiteRunner,
@@ -36,12 +37,14 @@ from repro.runner import (
 )
 from repro.runner.ledger import (
     VOLATILE_TYPES,
+    ShardData,
     list_shards,
     merge_shards,
+    private_store_path,
     read_ledger_records,
-    read_shard,
     recover_shards,
 )
+from repro.runner.store import ExperimentStore, run_store_worker
 
 #: No-sleep supervision for synthetic-job tests.
 FAST = SupervisorConfig(max_retries=2, backoff_base_s=0.0)
@@ -169,8 +172,9 @@ class TestParallelDeterminism:
             assert report.counts() == {"ok": 16, "failed": 0}
             reports.append(_stable_report(report))
             ledgers.append(_stable_ledger_lines(ledger))
-            # Shards are consumed by the merge, never left behind.
+            # The private store is folded and deleted, never left behind.
             assert list_shards(ledger) == []
+            assert not private_store_path(ledger).exists()
         assert reports[0] == reports[1] == reports[2]
         assert ledgers[0] == ledgers[1] == ledgers[2]
 
@@ -206,6 +210,68 @@ class TestParallelDeterminism:
         assert again.n_resumed == 16
         assert _stable_report(again) == _stable_report(full)
         assert _stable_ledger_lines(split) == _stable_ledger_lines(ref)
+
+    def test_resuming_finished_campaign_forks_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """Resuming a finished ledger at --workers N replays it without
+        forking a worker or registering a private store."""
+        plan = _tiny_plan()
+        ledger = tmp_path / "done.jsonl"
+        run_plan(plan, config=FAST, ledger_path=ledger, workers=2)
+        assert not private_store_path(ledger).exists()
+        assert list_shards(ledger) == []
+
+        def _no_fork(payload):
+            raise AssertionError("resume of a finished run forked a worker")
+
+        monkeypatch.setattr(
+            "repro.runner.executor.run_worker_shard", _no_fork
+        )
+        again = run_plan(
+            plan, config=FAST, ledger_path=ledger, resume=True, workers=2
+        )
+        assert again.n_resumed == 2
+        assert not private_store_path(ledger).exists()
+
+    def test_dep_skip_plan_identical_across_worker_counts(self, tmp_path):
+        """A clean job plus its faulted twin, the clean run quarantined
+        by job_crash: a shared store would publish the twin as
+        dep_skipped, but --workers N runs it like the serial runner."""
+        host_faults = FaultSchedule.from_dict(
+            {"seed": 3, "faults": [{"kind": "job_crash", "rate": 1.0}]}
+        )
+        plan = CampaignPlan(
+            name="dep",
+            jobs=(
+                JobSpec(kernel="spmspv", matrix="P1", scale=0.05),
+                JobSpec(
+                    kernel="spmspv",
+                    matrix="P1",
+                    scale=0.05,
+                    faults={
+                        "seed": 9,
+                        "faults": [{"kind": "counter_noise", "rate": 0.5}],
+                    },
+                ),
+            ),
+            faults=host_faults,
+        )
+        config = SupervisorConfig(max_retries=1, backoff_base_s=0.0)
+        outputs = []
+        for workers in (1, ENV_WORKERS):
+            ledger = tmp_path / f"dep{workers}.jsonl"
+            report = run_plan(
+                plan, config=config, ledger_path=ledger, workers=workers
+            )
+            assert [
+                (row["status"], row["attempts"], row["failure"]["kind"])
+                for row in report.rows
+            ] == [("failed", 2, "retryable")] * 2
+            outputs.append(
+                (_stable_report(report), _stable_ledger_lines(ledger))
+            )
+        assert outputs[0] == outputs[1]
 
     def test_fault_draws_identical_across_worker_counts(self, tmp_path):
         """Host-fault draws are stateless per (seed, spec, job,
@@ -384,52 +450,45 @@ class TestWorkerIsolation:
 
 
 # ---------------------------------------------------------------------------
-class TestShardAdversarial:
-    def _shard_with(self, tmp_path, worker, plan_key, rows, starts=()):
-        """A fabricated worker shard with the given terminal rows."""
-        path = shard_path(tmp_path / "camp.jsonl", worker)
-        shard = RunLedger(
-            path, plan_key=plan_key, worker=worker, overwrite=True
-        )
-        for key, index in starts:
-            shard.job_started(key, index, 1)
-        for key, row in rows:
-            shard.job_started(key, row.get("index", 0), 1)
-            shard.job_done(key, row)
-        shard.close()
-        return path
+def _group(key, row, index=0):
+    """One job's record group: its start and terminal records."""
+    return [
+        {"type": "start", "key": key, "index": index, "attempt": 1},
+        {"type": "done", "key": key, "row": row},
+    ]
 
+
+class TestShardAdversarial:
     def test_torn_shard_tail_is_skipped(self, tmp_path):
-        """A shard truncated mid-record (the one write a crash can
-        tear) still yields every intact record."""
-        path = self._shard_with(
-            tmp_path,
-            0,
-            "plan",
-            [("a", {"index": 0, "key": "a", "status": "ok"})],
-        )
+        """A worker shard truncated mid-record (the one write a crash
+        can tear) still yields every intact record."""
+        path = shard_path(tmp_path / "camp.jsonl", 0)
+        shard = RunLedger(path, plan_key="plan", worker=0)
+        shard.job_started("a", 0, 1)
+        shard.job_done("a", {"index": 0, "key": "a", "status": "ok"})
+        shard.close()
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"type": "done", "key": "b", "row": {"ind')
-        shard = read_shard(path, "plan")
-        assert shard.n_skipped == 1
-        assert shard.terminal("a") is not None
-        assert shard.terminal("b") is None
+        records, skipped = read_ledger_records(path)
+        assert skipped == 1
+        assert [(r["type"], r.get("key")) for r in records] == [
+            ("header", None),
+            ("start", "a"),
+            ("done", "a"),
+        ]
 
     def test_torn_terminal_leaves_job_in_flight(self, tmp_path):
-        """If a job's done record was torn but its start survived, the
-        merge marks it in flight (to be re-run fresh) without copying
-        the orphan start records into the canonical ledger."""
+        """If a job's group lost its terminal record, the merge marks it
+        in flight (to be re-run fresh) without copying the orphan start
+        records into the canonical ledger."""
         ledger = RunLedger(tmp_path / "m.jsonl", plan_key="plan")
-        path = self._shard_with(
-            tmp_path,
-            0,
-            "plan",
-            [("a", {"index": 0, "key": "a", "status": "ok"})],
-            starts=[("b", 1)],
+        groups = ShardData(
+            by_key={
+                "a": _group("a", {"index": 0, "key": "a", "status": "ok"}),
+                "b": _group("b", {}, index=1)[:1],
+            }
         )
-        stats = merge_shards(
-            ledger, [read_shard(path, "plan")], ["a", "b"]
-        )
+        stats = merge_shards(ledger, [groups], ["a", "b"])
         ledger.close()
         assert stats.merged_jobs == 1
         assert "a" in ledger.completed
@@ -439,31 +498,17 @@ class TestShardAdversarial:
 
     def test_duplicate_terminal_records_first_wins(self, tmp_path):
         """An adversarially duplicated terminal row (same key, twice in
-        one shard) merges exactly once."""
-        path = self._shard_with(
-            tmp_path,
-            0,
-            "plan",
-            [("a", {"index": 0, "key": "a", "status": "ok", "v": 1})],
+        one group) merges exactly once."""
+        group = _group("a", {"index": 0, "key": "a", "status": "ok", "v": 1})
+        group.append(
+            {
+                "type": "done",
+                "key": "a",
+                "row": {"index": 0, "key": "a", "status": "failed", "v": 2},
+            }
         )
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "type": "done",
-                        "key": "a",
-                        "row": {
-                            "index": 0,
-                            "key": "a",
-                            "status": "failed",
-                            "v": 2,
-                        },
-                    }
-                )
-                + "\n"
-            )
         ledger = RunLedger(tmp_path / "m.jsonl", plan_key="plan")
-        merge_shards(ledger, [read_shard(path, "plan")], ["a"])
+        merge_shards(ledger, [ShardData(by_key={"a": group})], ["a"])
         ledger.close()
         records, _ = read_ledger_records(ledger.path)
         dones = [r for r in records if r.get("type") == "done"]
@@ -472,26 +517,33 @@ class TestShardAdversarial:
         assert ledger.completed["a"]["row"]["status"] == "ok"
 
     def test_merge_is_idempotent(self, tmp_path):
-        """Merging the same shard twice adds nothing the second time."""
-        path = self._shard_with(
-            tmp_path,
-            0,
-            "plan",
-            [("a", {"index": 0, "key": "a", "status": "ok"})],
+        """Merging the same groups twice adds nothing the second time."""
+        groups = ShardData(
+            by_key={"a": _group("a", {"index": 0, "key": "a", "status": "ok"})}
         )
         ledger = RunLedger(tmp_path / "m.jsonl", plan_key="plan")
-        first = merge_shards(ledger, [read_shard(path, "plan")], ["a"])
-        second = merge_shards(ledger, [read_shard(path, "plan")], ["a"])
+        first = merge_shards(ledger, [groups], ["a"])
+        second = merge_shards(ledger, [groups], ["a"])
         assert first.merged_jobs == 1
         assert second.merged_jobs == 0
         assert second.skipped_completed == 1
 
+    def _private_store(self, camp, plan_key, jobs):
+        """A private store left beside ``camp`` by a killed run."""
+        return ExperimentStore.create_private(
+            private_store_path(camp),
+            jobs,
+            name="camp",
+            plan_key=plan_key,
+            config=FAST,
+        )
+
     def test_stale_shard_from_dead_worker_recovered_on_resume(
         self, tmp_path
     ):
-        """A shard a dead worker fsynced before dying is folded into
-        the canonical ledger on resume — its job is NOT re-run — and
-        the shard file is deleted. The merged ledger stays
+        """A private store a killed --workers run left behind is folded
+        into the canonical ledger on resume — the job it published is
+        NOT re-run — and the store is deleted. The merged ledger stays
         byte-identical to an uninterrupted serial run."""
         plan = _statics_plan()
         ref = tmp_path / "ref.jsonl"
@@ -500,22 +552,14 @@ class TestShardAdversarial:
         camp = tmp_path / "camp.jsonl"
         run_plan(plan, config=FAST, ledger_path=camp, max_jobs=1)
 
-        # Fabricate the dead worker's shard: the serial reference tells
-        # us exactly what it would have written for the second job.
-        records, _ = read_ledger_records(ref)
-        spec = plan.jobs[1]
-        done = next(
-            r
-            for r in records
-            if r.get("type") == "done" and r.get("key") == spec.key()
+        # The killed run's store: registered over the pending jobs, one
+        # of which a worker published before the parent died.
+        store = self._private_store(
+            camp, plan.key(), plan_portable_jobs(plan)[1:]
         )
-        stale = shard_path(camp, 3)
-        shard = RunLedger(
-            stale, plan_key=plan.key(), worker=3, overwrite=True
-        )
-        shard.job_started(spec.key(), 1, 1)
-        shard.job_done(spec.key(), done["row"])
-        shard.close()
+        summary = run_store_worker(store, max_jobs=1, finalize=False)
+        assert summary["published"] == 1
+        stale = private_store_path(camp)
 
         resumed = run_plan(
             plan,
@@ -531,41 +575,35 @@ class TestShardAdversarial:
         assert _stable_ledger_lines(camp) == _stable_ledger_lines(ref)
 
     def test_foreign_plan_shard_left_untouched(self, tmp_path):
-        """A shard belonging to a different plan is never merged or
-        deleted — recovery counts it and moves on."""
+        """A private store registered to a different plan is never
+        merged or deleted — recovery counts it and moves on."""
         plan = _tiny_plan()
         camp = tmp_path / "camp.jsonl"
         run_plan(plan, config=FAST, ledger_path=camp, max_jobs=1)
-        foreign = self._shard_with(
-            tmp_path,
-            9,
-            "some-other-plan",
-            [("x", {"index": 0, "key": "x", "status": "ok"})],
+        foreign = self._private_store(
+            camp, "some-other-plan", [_sleep_job(0, key="x")]
         )
-        foreign = foreign.rename(shard_path(camp, 9))
+        run_store_worker(foreign, finalize=False)
         ledger = RunLedger(camp, plan_key=plan.key(), resume=True)
         stats = recover_shards(
             ledger, [spec.key() for spec in plan.jobs]
         )
         ledger.close()
         assert stats.skipped_shards == 1
-        assert foreign.exists()
+        assert foreign.has_result("x")
         assert "x" not in ledger.completed
 
     def test_fresh_run_clears_stray_shards(self, tmp_path):
-        """Starting a fresh campaign removes leftover shards beside the
-        new ledger so they cannot pollute a later resume."""
+        """Starting a fresh campaign removes a leftover private store
+        beside the new ledger so it cannot pollute a later resume."""
         plan = _tiny_plan()
         camp = tmp_path / "camp.jsonl"
-        stray = self._shard_with(
-            tmp_path,
-            0,
-            plan.key(),
-            [("z", {"index": 0, "key": "z", "status": "ok"})],
+        stray = self._private_store(
+            camp, plan.key(), [_sleep_job(0, key="z")]
         )
-        stray = stray.rename(shard_path(camp, 0))
+        run_store_worker(stray, finalize=False)
         run_plan(plan, config=FAST, ledger_path=camp)
-        assert not stray.exists()
+        assert not stray.root.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +639,9 @@ print(json.dumps(report.stable_dict(), sort_keys=True))
 
 class TestSigintFanout:
     def test_sigint_checkpoints_once_and_resume_completes(self, tmp_path):
-        """SIGINT to the parent fans out to every worker, drains their
-        shards into the canonical ledger, exits with one resume hint —
+        """SIGINT to the parent fans out to every worker, folds what
+        they published into the canonical ledger, exits with one resume
+        hint —
         and a resume (at a different worker count) completes the
         campaign byte-identically to an uninterrupted run."""
         src = str(

@@ -8,11 +8,11 @@ import json
 import random
 import string
 
-from repro.runner import JobSpec, RunLedger, job_key, shard_path
+from repro.runner import JobSpec, RunLedger, job_key
 from repro.runner.ledger import (
+    ShardData,
     merge_shards,
     read_ledger_records,
-    read_shard,
 )
 
 N_TRIALS = 25
@@ -178,8 +178,8 @@ class TestLedgerRoundTrip:
 # ---------------------------------------------------------------------------
 class TestMergeProperties:
     def _make_shards(self, rng, tmp_path, trial):
-        """A random campaign sharded over a random worker count, as
-        (base_path, key_order, {key: row}) plus the shard files."""
+        """A random campaign split over a random number of record-group
+        sets, as (base_path, key_order, {key: row}, shards)."""
         base = tmp_path / f"merge{trial}.jsonl"
         n_jobs = rng.randint(1, 12)
         keys = [f"job{index:02d}" for index in range(n_jobs)]
@@ -188,27 +188,17 @@ class TestMergeProperties:
             for index, key in enumerate(keys)
         }
         n_workers = rng.randint(1, 4)
-        for worker in range(n_workers):
-            shard = RunLedger(
-                shard_path(base, worker),
-                plan_key="m",
-                worker=worker,
-                overwrite=True,
-            )
-            for index, key in enumerate(keys):
-                if index % n_workers != worker:
-                    continue
-                shard.job_started(key, index, 1)
-                row = rows[key]
-                if row["status"] == "ok":
-                    shard.job_done(key, row)
-                else:
-                    shard.job_quarantined(key, row)
-            shard.close()
-        shards = [
-            read_shard(shard_path(base, worker), "m")
-            for worker in range(n_workers)
-        ]
+        shards = [ShardData() for _ in range(n_workers)]
+        for index, key in enumerate(keys):
+            row = json.loads(json.dumps(rows[key]))
+            shards[index % n_workers].by_key[key] = [
+                {"type": "start", "key": key, "index": index, "attempt": 1},
+                {
+                    "type": "done" if row["status"] == "ok" else "quarantined",
+                    "key": key,
+                    "row": row,
+                },
+            ]
         return base, keys, rows, shards
 
     def test_merge_is_shard_order_insensitive(self, tmp_path):
