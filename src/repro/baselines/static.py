@@ -113,7 +113,7 @@ def run_static(
     from repro import fastpath
 
     schedule = ScheduleResult(scheme=scheme)
-    if trace.epochs and fastpath.batch_active():
+    if trace.epochs and fastpath.enabled():
         from repro.fastpath.epochs import simulate_trace
 
         results = simulate_trace(machine, trace.epochs, config)

@@ -72,7 +72,7 @@ class EpochTable:
         n_configs = len(self.configs)
         from repro import fastpath
 
-        if fastpath.batch_active():
+        if fastpath.enabled():
             # One vectorized pass over the whole epoch x config grid;
             # EpochResult cells materialize lazily as schemes index them
             # (bit-identical to the scalar loop, see repro.fastpath).

@@ -46,11 +46,14 @@ additionally emit ``fault.injected``, ``fault.detected``,
 ``machine.degraded``, ``controller.readback`` and
 ``controller.safe_mode`` events. With tracing disabled all
 instrumentation is skipped behind a single flag check, so the modeled
-numbers and the runtime cost are identical to an uninstrumented run:
-the traced path calls ``model.predict_with_provenance`` /
-``policy.filter_with_verdicts``, which share the decision code with
-the untraced ``predict`` / ``filter`` calls and therefore cannot
-change any decision.
+numbers are identical to an uninstrumented run. Tracing observes the
+one decision path: the decision memo, ``model.predict`` and
+``policy.filter`` run traced or not, so the ``decision`` latencies time
+the production path. The policy fills its verdict list from the same
+walk; the tree paths come from ``model.predict_with_provenance`` (the
+scalar walker), called after the latency stamps, and a walker that
+disagrees with the applied prediction raises
+:class:`~repro.errors.ModelError`.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from repro.core.model import SparseAdaptModel
 from repro.core.modes import OptimizationMode
 from repro.core.policies import HybridPolicy, ReconfigurationPolicy
 from repro.core.schedule import EpochRecord, ScheduleResult
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ModelError
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSchedule
 from repro.kernels.base import KernelTrace
@@ -206,7 +209,7 @@ class SparseAdaptController:
         from repro import fastpath
 
         memo: Optional[Dict[tuple, HardwareConfig]] = None
-        if fastpath.enabled() and not traced:
+        if fastpath.enabled():
             self._check_memo_token()
             memo = self._decision_memo
             memo_hits = obs.metrics.counter(
@@ -374,33 +377,26 @@ class SparseAdaptController:
                     # Safe mode: no inference, hold the safe config.
                     predicted = self.safe_config
                     applied = self.safe_config
-                elif traced:
-                    t1 = perf_counter()
-                    predicted, provenance = self.model.predict_with_provenance(
-                        counters, config
-                    )
-                    t2 = perf_counter()
-                    applied, verdicts = self.policy.filter_with_verdicts(
-                        current=config,
-                        predicted=predicted,
-                        last_epoch_time_s=last_epoch_time,
-                        power=self.machine.power,
-                        bandwidth_gbps=self.bandwidth_gbps,
-                        dirty_bytes_hint=dirty_hint,
-                    )
-                    t3 = perf_counter()
-                elif memo is not None:
-                    memo_key = (config, counters)
-                    predicted = memo.get(memo_key)
-                    if predicted is None:
+                else:
+                    if traced:
+                        t1 = perf_counter()
+                    if memo is None:
                         predicted = self.model.predict(counters, config)
-                        memo[memo_key] = predicted
-                        memo_misses.inc()
                     else:
-                        memo_hits.inc()
+                        memo_key = (config, counters)
+                        predicted = memo.get(memo_key)
+                        if predicted is None:
+                            predicted = self.model.predict(counters, config)
+                            memo[memo_key] = predicted
+                            memo_misses.inc()
+                        else:
+                            memo_hits.inc()
+                    if traced:
+                        t2 = perf_counter()
                     # The policy filter is NOT memoized: its verdicts
                     # depend on last_epoch_time/dirty_hint, which vary
                     # epoch to epoch.
+                    verdicts = [] if traced else None
                     applied = self.policy.filter(
                         current=config,
                         predicted=predicted,
@@ -408,17 +404,10 @@ class SparseAdaptController:
                         power=self.machine.power,
                         bandwidth_gbps=self.bandwidth_gbps,
                         dirty_bytes_hint=dirty_hint,
+                        verdicts=verdicts,
                     )
-                else:
-                    predicted = self.model.predict(counters, config)
-                    applied = self.policy.filter(
-                        current=config,
-                        predicted=predicted,
-                        last_epoch_time_s=last_epoch_time,
-                        power=self.machine.power,
-                        bandwidth_gbps=self.bandwidth_gbps,
-                        dirty_bytes_hint=dirty_hint,
-                    )
+                    if traced:
+                        t3 = perf_counter()
                 if clean:
                     pending_reconfig = reconfiguration_cost(
                         config,
@@ -476,6 +465,19 @@ class SparseAdaptController:
                         rejected=sorted(set(proposed) - set(accepted)),
                     )
                     latency_histogram.observe(latency)
+                    # Provenance comes from the scalar walker, after the
+                    # latency stamps, so the stages above time the path
+                    # that runs untraced; it must explain the decision
+                    # that was actually taken.
+                    explained, provenance = (
+                        self.model.predict_with_provenance(counters, config)
+                    )
+                    if explained != predicted:
+                        raise ModelError(
+                            f"epoch {index}: provenance walk predicts "
+                            f"{explained.describe()}, the decision applied "
+                            f"{predicted.describe()}"
+                        )
                     raw_counters = result.counters.as_dict()
                     observed_counters = (
                         counters.as_dict() if not clean else raw_counters

@@ -112,7 +112,7 @@ def _batch_results(
     """Simulate one workload under many configs, batched when allowed."""
     from repro import fastpath
 
-    if len(configs) > 1 and fastpath.batch_active():
+    if len(configs) > 1 and fastpath.enabled():
         from repro.fastpath.epochs import simulate_configs
 
         return simulate_configs(machine, workload, list(configs))

@@ -14,14 +14,14 @@ worth its reconfiguration cost:
   occasional ones in long epochs. The paper finds 10-40 % tolerances
   best (Figure 11 left) and uses 40 % for SpMSpV.
 
-Every policy can also *explain* itself: :meth:`~ReconfigurationPolicy.
-filter_with_verdicts` runs the exact same per-parameter walk as
-:meth:`~ReconfigurationPolicy.filter` and additionally returns one
-:class:`PolicyVerdict` per proposed change, carrying the accept/reject
-decision, the cost-vs-budget numbers that produced it, a stable
-machine-readable ``code``, and a human-readable ``reason`` sentence.
-The verdict path shares the decision code with the plain path, so an
-explained run can never diverge from an unexplained one.
+Every policy can also *explain* itself: pass a list as ``verdicts`` to
+:meth:`~ReconfigurationPolicy.filter` and the per-parameter walk
+appends one :class:`PolicyVerdict` per proposed change, carrying the
+accept/reject decision, the cost-vs-budget numbers that produced it, a
+stable machine-readable ``code``, and a human-readable ``reason``
+sentence. :meth:`~ReconfigurationPolicy.filter_with_verdicts` is the
+same call returning the list. There is one walk, so an explained run
+can never diverge from an unexplained one.
 """
 
 from __future__ import annotations
@@ -107,8 +107,13 @@ class ReconfigurationPolicy:
         power: PowerModel,
         bandwidth_gbps: float,
         dirty_bytes_hint=None,
+        verdicts: Optional[List["PolicyVerdict"]] = None,
     ) -> HardwareConfig:
-        """Return the configuration to actually apply."""
+        """Return the configuration to actually apply.
+
+        When ``verdicts`` is a list, one :class:`PolicyVerdict` per
+        proposed change is appended to it.
+        """
         raise NotImplementedError
 
     def filter_with_verdicts(
@@ -120,13 +125,18 @@ class ReconfigurationPolicy:
         bandwidth_gbps: float,
         dirty_bytes_hint=None,
     ) -> Tuple[HardwareConfig, List["PolicyVerdict"]]:
-        """``filter`` plus one :class:`PolicyVerdict` per proposed change.
-
-        The applied configuration is identical to :meth:`filter` on the
-        same inputs: both run the same walk; this one just keeps the
-        decision record instead of dropping it.
-        """
-        raise NotImplementedError
+        """``filter`` plus one :class:`PolicyVerdict` per proposed change."""
+        verdicts: List[PolicyVerdict] = []
+        applied = self.filter(
+            current,
+            predicted,
+            last_epoch_time_s,
+            power,
+            bandwidth_gbps,
+            dirty_bytes_hint=dirty_bytes_hint,
+            verdicts=verdicts,
+        )
+        return applied, verdicts
 
     # ------------------------------------------------------------------
     def _verdict(
@@ -197,30 +207,21 @@ class AggressivePolicy(ReconfigurationPolicy):
         power: PowerModel,
         bandwidth_gbps: float,
         dirty_bytes_hint=None,
+        verdicts: Optional[List[PolicyVerdict]] = None,
     ) -> HardwareConfig:
+        if verdicts is not None:
+            # Nothing to decide; cost each change only to explain it.
+            self._apply_per_parameter(
+                current,
+                predicted,
+                power,
+                bandwidth_gbps,
+                accept=lambda cost: True,
+                dirty_bytes_hint=dirty_bytes_hint,
+                last_epoch_time_s=last_epoch_time_s,
+                verdicts=verdicts,
+            )
         return predicted
-
-    def filter_with_verdicts(
-        self,
-        current: HardwareConfig,
-        predicted: HardwareConfig,
-        last_epoch_time_s: float,
-        power: PowerModel,
-        bandwidth_gbps: float,
-        dirty_bytes_hint=None,
-    ) -> Tuple[HardwareConfig, List[PolicyVerdict]]:
-        verdicts: List[PolicyVerdict] = []
-        self._apply_per_parameter(
-            current,
-            predicted,
-            power,
-            bandwidth_gbps,
-            accept=lambda cost: True,
-            dirty_bytes_hint=dirty_bytes_hint,
-            last_epoch_time_s=last_epoch_time_s,
-            verdicts=verdicts,
-        )
-        return predicted, verdicts
 
     def _verdict(
         self,
@@ -267,27 +268,9 @@ class ConservativePolicy(ReconfigurationPolicy):
         power: PowerModel,
         bandwidth_gbps: float,
         dirty_bytes_hint=None,
+        verdicts: Optional[List[PolicyVerdict]] = None,
     ) -> HardwareConfig:
         return self._apply_per_parameter(
-            current,
-            predicted,
-            power,
-            bandwidth_gbps,
-            accept=lambda cost: cost.time_s <= self.max_cost_s,
-            dirty_bytes_hint=dirty_bytes_hint,
-        )
-
-    def filter_with_verdicts(
-        self,
-        current: HardwareConfig,
-        predicted: HardwareConfig,
-        last_epoch_time_s: float,
-        power: PowerModel,
-        bandwidth_gbps: float,
-        dirty_bytes_hint=None,
-    ) -> Tuple[HardwareConfig, List[PolicyVerdict]]:
-        verdicts: List[PolicyVerdict] = []
-        applied = self._apply_per_parameter(
             current,
             predicted,
             power,
@@ -298,7 +281,6 @@ class ConservativePolicy(ReconfigurationPolicy):
             last_epoch_time_s=last_epoch_time_s,
             verdicts=verdicts,
         )
-        return applied, verdicts
 
     def _verdict(
         self,
@@ -348,29 +330,10 @@ class HybridPolicy(ReconfigurationPolicy):
         power: PowerModel,
         bandwidth_gbps: float,
         dirty_bytes_hint=None,
+        verdicts: Optional[List[PolicyVerdict]] = None,
     ) -> HardwareConfig:
         budget = self.tolerance * max(last_epoch_time_s, 0.0)
         return self._apply_per_parameter(
-            current,
-            predicted,
-            power,
-            bandwidth_gbps,
-            accept=lambda cost: cost.time_s <= budget,
-            dirty_bytes_hint=dirty_bytes_hint,
-        )
-
-    def filter_with_verdicts(
-        self,
-        current: HardwareConfig,
-        predicted: HardwareConfig,
-        last_epoch_time_s: float,
-        power: PowerModel,
-        bandwidth_gbps: float,
-        dirty_bytes_hint=None,
-    ) -> Tuple[HardwareConfig, List[PolicyVerdict]]:
-        budget = self.tolerance * max(last_epoch_time_s, 0.0)
-        verdicts: List[PolicyVerdict] = []
-        applied = self._apply_per_parameter(
             current,
             predicted,
             power,
@@ -381,7 +344,6 @@ class HybridPolicy(ReconfigurationPolicy):
             last_epoch_time_s=last_epoch_time_s,
             verdicts=verdicts,
         )
-        return applied, verdicts
 
     def _verdict(
         self,

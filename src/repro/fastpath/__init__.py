@@ -31,7 +31,8 @@ from the scalar reference:
 
 ``tests/test_fastpath_equivalence.py`` locks the equivalence down with
 differential property tests; ``REPRO_FASTPATH=0`` (or ``--no-fastpath``)
-selects the scalar reference path everywhere.
+selects the scalar reference path everywhere. :func:`enabled` is the
+only gate: a trace recorder observes whichever path it selects.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "enabled",
     "set_enabled",
     "overridden",
-    "batch_active",
     "env_default",
 ]
 
@@ -81,18 +81,3 @@ def overridden(flag: bool) -> Iterator[None]:
     finally:
         set_enabled(old)
 
-
-def batch_active() -> bool:
-    """Whether batched epoch simulation may replace the scalar loop.
-
-    Traced runs stay on the scalar path: ``simulate_epoch`` emits
-    ``machine.epoch`` events and per-epoch metrics when a recorder is
-    installed, and the batch engine intentionally does not reproduce
-    that side-channel (the trace contract is "identical events", which
-    the reference path guarantees by construction).
-    """
-    if not _STATE["enabled"]:
-        return False
-    from repro.obs import get_recorder
-
-    return not get_recorder().enabled

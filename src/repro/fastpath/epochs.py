@@ -35,9 +35,10 @@ schedule, so a 64-config table materializes ~1/64th of its entries.
 
 This engine intentionally has no :class:`EpochEnvironment` or trace
 support — degraded epochs occur only inside the (inherently
-sequential) controller loop, and traced runs stay on the scalar path
-so ``machine.epoch`` events are emitted by the reference code. Callers
-gate on :func:`repro.fastpath.batch_active`.
+sequential) controller loop, and ``machine.epoch`` events come only
+from real :meth:`~repro.transmuter.machine.TransmuterModel.simulate_epoch`
+calls, i.e. the controller's epochs; grid cells emit none. Callers gate
+on :func:`repro.fastpath.enabled`, traced or not.
 """
 
 from __future__ import annotations

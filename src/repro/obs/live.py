@@ -201,15 +201,12 @@ def read_live(
 ) -> CampaignStatus:
     """Aggregate a campaign's canonical ledger plus live shards.
 
-    The campaign total is taken from the runners themselves: the
-    serial runner's heartbeats carry the full job count, and each
-    shard's heartbeats carry that shard's count, on top of whatever the
-    canonical ledger already holds as terminal rows (resumed work, or
-    shards already merged). Store workers claim from one shared grid,
-    so their heartbeats all carry the grid size: a store ledger's
-    header (or the private store of a running ``--workers N``
-    campaign) supplies that size once instead. ``now`` is injectable
-    for deterministic tests.
+    The campaign total comes from the serial runner's heartbeats, or,
+    for workers, from the grid they claim from: a store ledger's
+    header, or the private store of a running ``--workers N`` campaign
+    on top of the terminal rows the canonical ledger already holds.
+    Store workers' heartbeats all carry the grid size, so they are
+    never summed. ``now`` is injectable for deterministic tests.
     """
     import time as _time
 
@@ -233,10 +230,7 @@ def read_live(
         )
     plan_name = header.get("plan_name", "campaign")
     plan_key = header.get("plan_key")
-    # Experiment-store ledgers declare the grid size up front: store
-    # workers claim jobs dynamically, so their per-shard heartbeat
-    # totals describe the whole grid (not a disjoint shard) and cannot
-    # be summed for the campaign total.
+    # Experiment-store ledgers declare the grid size up front.
     header_jobs = _grid_size(header)
     shard_paths = list_shards(ledger_path)
     store_jobs: Optional[int] = None
@@ -299,7 +293,6 @@ def read_live(
 
     # Live shards: per-worker heartbeats plus any terminal rows a
     # worker fsynced that the parent has not merged yet.
-    shard_total = 0
     for path in shard_paths:
         shard_records, _ = read_ledger_records(path)
         worker: Optional[int] = None
@@ -339,7 +332,6 @@ def read_live(
         status.workers.append(wstat)
         status.done += wstat.done
         status.failed += wstat.failed
-        shard_total += wstat.total
 
     if serial_beats and not status.workers:
         wstat = _worker_from_heartbeats(None, serial_beats, now)
@@ -353,12 +345,8 @@ def read_live(
         status.total = wstat.total
         status.done = wstat.done
         status.failed = wstat.failed
-    elif status.workers:
-        status.total = len(terminal) + (
-            shard_total if store_jobs is None else store_jobs
-        )
     else:
-        status.total = len(terminal)
+        status.total = len(terminal) + (store_jobs or 0)
     if header_jobs is not None:
         status.total = header_jobs
 

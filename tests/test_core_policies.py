@@ -167,7 +167,8 @@ class TestHybrid:
 
 
 class TestVerdictConsistency:
-    """filter and filter_with_verdicts can never disagree."""
+    """filter, filter(verdicts=...) and filter_with_verdicts can never
+    disagree."""
 
     @pytest.mark.parametrize(
         "policy",
@@ -186,6 +187,10 @@ class TestVerdictConsistency:
         plain = policy.filter(**kwargs)
         explained, verdicts = policy.filter_with_verdicts(**kwargs)
         assert explained == plain
+        # filter's verdicts argument collects exactly the same record.
+        filled = []
+        assert policy.filter(**kwargs, verdicts=filled) == plain
+        assert filled == verdicts
         # Accepted verdicts describe exactly the applied changes.
         accepted = {v.parameter for v in verdicts if v.accepted}
         applied = {

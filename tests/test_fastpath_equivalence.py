@@ -427,10 +427,43 @@ class TestEscapeHatch:
             assert fastpath.enabled() is False
         capsys.readouterr()
 
-    def test_traced_runs_never_batch(self):
+    def test_traced_runs_batch(self, monkeypatch):
+        """A recorder observes the production path: traced table
+        schemes still run on EpochGrid, and every scheme's schedule is
+        byte-identical to an untraced run."""
         from repro import obs
+        from repro.fastpath.epochs import EpochGrid
+
+        grids = []
+        original_init = EpochGrid.__init__
+
+        def counting_init(self, *args, **kwargs):
+            grids.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EpochGrid, "__init__", counting_init)
+        mode = OptimizationMode.ENERGY_EFFICIENT
+        model = train_default_model(mode, kernel="spmspm")
+        trace = build_trace("spmspm", "R04", scale=0.12)
+
+        def run():
+            context = EvaluationContext(
+                trace=trace,
+                machine=TransmuterModel(),
+                mode=mode,
+                model=model,
+                seed=0,
+            )
+            results = evaluate_schemes(context, schemes=ALL_SCHEMES)
+            return repr(
+                {name: _schedule_tuple(r) for name, r in results.items()}
+            ).encode()
 
         with fastpath.overridden(True):
-            assert fastpath.batch_active() is True
+            untraced = run()
+            n_untraced = len(grids)
             with obs.recording():
-                assert fastpath.batch_active() is False
+                traced = run()
+        assert n_untraced > 0
+        assert len(grids) > n_untraced  # the traced run built grids too
+        assert traced == untraced

@@ -1,5 +1,7 @@
 """Integration tests: instrumentation hooks through the real runtime."""
 
+import copy
+
 import pytest
 
 from repro import obs
@@ -360,6 +362,83 @@ class TestProvenanceRecords:
             for r in provenance
         )
 
+    def test_traced_rerun_hits_memo_and_keeps_provenance(
+        self, matrix, vector
+    ):
+        """Tracing does not bypass the decision memo: a second traced
+        run on the same controller hits it, and provenance still
+        explains every predicted parameter of every adapting epoch."""
+        from repro import fastpath
+        from repro.core.controller import SparseAdaptController
+        from repro.core.training import train_default_model
+        from repro.kernels.spmspv import trace_spmspv
+        from repro.obs import metrics
+        from repro.transmuter.machine import TransmuterModel
+
+        model = train_default_model(
+            OptimizationMode.ENERGY_EFFICIENT, kernel="spmspv"
+        )
+        trace = trace_spmspv(matrix.to_csc(), vector, 500)
+        controller = SparseAdaptController(
+            model=model,
+            machine=TransmuterModel(),
+            mode=OptimizationMode.ENERGY_EFFICIENT,
+        )
+        hits = metrics.counter("fastpath.memo_hits")
+        with fastpath.overridden(True):
+            with obs.recording(None):
+                controller.run(trace)
+            before = hits.value
+            with obs.recording(None) as recorder:
+                controller.run(trace)
+        assert hits.value > before
+        records = recorder.sink.records()
+        adapting = [
+            r["attrs"]["epoch"] for r in records if r["name"] == "decision"
+        ]
+        assert adapting
+        explained = {}
+        for record in records:
+            if record["name"] == "provenance":
+                attrs = record["attrs"]
+                explained.setdefault(attrs["epoch"], []).append(
+                    attrs["parameter"]
+                )
+        assert sorted(explained) == adapting
+        for parameters in explained.values():
+            assert sorted(parameters) == sorted(model.predicted_parameters())
+
+    def test_walker_disagreeing_with_decision_raises(self, matrix, vector):
+        from repro.core.controller import SparseAdaptController
+        from repro.core.training import train_default_model
+        from repro.errors import ModelError
+        from repro.kernels.spmspv import trace_spmspv
+        from repro.transmuter.machine import TransmuterModel
+
+        # A copy whose walker disagrees with its compiled predict.
+        model = copy.copy(
+            train_default_model(
+                OptimizationMode.ENERGY_EFFICIENT, kernel="spmspv"
+            )
+        )
+        walk = model.predict_with_provenance
+
+        def skewed_walk(counters, config):
+            predicted, provenance = walk(counters, config)
+            clock = 500.0 if predicted.clock_mhz != 500.0 else 250.0
+            return predicted.with_value("clock_mhz", clock), provenance
+
+        model.predict_with_provenance = skewed_walk
+        controller = SparseAdaptController(
+            model=model,
+            machine=TransmuterModel(),
+            mode=OptimizationMode.ENERGY_EFFICIENT,
+        )
+        trace = trace_spmspv(matrix.to_csc(), vector, 500)
+        with pytest.raises(ModelError, match="provenance walk"):
+            with obs.recording(None):
+                controller.run(trace)
+
     def test_policy_verdict_metrics_labeled(self, runtime, matrix, vector):
         from repro.obs import metrics
 
@@ -382,9 +461,9 @@ class TestProvenanceRecords:
     def test_provenance_emission_does_not_change_results(
         self, runtime, matrix, vector
     ):
-        # The traced path goes through predict_with_provenance and
-        # filter_with_verdicts; results must still be byte-identical
-        # to the untraced predict/filter path.
+        # The traced run also walks predict_with_provenance and
+        # collects policy verdicts; results must still be
+        # byte-identical to the untraced run.
         with obs.recording(None) as recorder:
             traced = runtime.spmspv(matrix, vector)
         assert any(
@@ -403,10 +482,10 @@ class TestFastpathTraceParity:
     the provenance stream and the policy-verdict counters are part of
     the reproduction record, so both legs must emit identical ones.
 
-    (Traced runs deliberately route through the scalar
-    ``predict_with_provenance``/``filter_with_verdicts`` path even with
-    the fast path enabled — this diff is the assertion that keeps that
-    contract honest.)
+    (Traced runs take the production path: on the fast leg the memo and
+    the compiled tables decide, and provenance comes from the scalar
+    ``predict_with_provenance`` walker. This diff checks the compiled
+    decisions against the walker's provenance.)
     """
 
     def _traced_run(self, runtime, matrix, vector, fast):

@@ -53,7 +53,7 @@ def _write_ledger(path, records):
             handle.write(json.dumps(record) + "\n")
 
 
-def _header(plan_key="live", worker=None, plan_name="live-plan"):
+def _header(plan_key="live", worker=None, plan_name="live-plan", jobs=None):
     record = {
         "type": "header",
         "version": LEDGER_VERSION,
@@ -62,6 +62,10 @@ def _header(plan_key="live", worker=None, plan_name="live-plan"):
     }
     if worker is not None:
         record["worker"] = worker
+    if jobs is not None:
+        # A store ledger declares its grid size; its workers' shards
+        # sit beside it and their heartbeats all carry that size.
+        record["jobs"] = jobs
     return record
 
 
@@ -233,24 +237,24 @@ class TestReadLive:
 
     def _campaign(self, tmp_path, w1_last_beat_age=1.0, now=1000.0):
         base = tmp_path / "led.jsonl"
-        _write_ledger(base, [_header()])
+        _write_ledger(base, [_header(jobs=8)])
         _write_ledger(
             shard_path(base, 0),
             [
                 _header(worker=0),
-                _beat(now - 30.0, 0, total=4, worker=0, job="a"),
-                _beat(now - 20.0, 1, total=4, worker=0, job="b"),
-                _beat(now - 10.0, 2, total=4, worker=0, job="c"),
-                _beat(now - 1.0, 3, total=4, worker=0, job="d"),
+                _beat(now - 30.0, 0, total=8, worker=0, job="a"),
+                _beat(now - 20.0, 1, total=8, worker=0, job="b"),
+                _beat(now - 10.0, 2, total=8, worker=0, job="c"),
+                _beat(now - 1.0, 3, total=8, worker=0, job="d"),
             ],
         )
         _write_ledger(
             shard_path(base, 1),
             [
                 _header(worker=1),
-                _beat(now - 120.0, 0, total=4, worker=1, job="x"),
+                _beat(now - 120.0, 0, total=8, worker=1, job="x"),
                 _beat(
-                    now - w1_last_beat_age, 1, total=4, worker=1, job="y"
+                    now - w1_last_beat_age, 1, total=8, worker=1, job="y"
                 ),
             ],
         )
@@ -285,7 +289,7 @@ class TestReadLive:
 
     def test_shard_terminal_rows_trusted_over_stale_beats(self, tmp_path):
         base = tmp_path / "led.jsonl"
-        _write_ledger(base, [_header()])
+        _write_ledger(base, [_header(jobs=2)])
         _write_ledger(
             shard_path(base, 0),
             [
@@ -314,7 +318,7 @@ class TestReadLive:
 
     def test_foreign_plan_shards_skipped(self, tmp_path):
         base = tmp_path / "led.jsonl"
-        _write_ledger(base, [_header(plan_key="mine")])
+        _write_ledger(base, [_header(plan_key="mine", jobs=3)])
         _write_ledger(
             shard_path(base, 0),
             [
@@ -418,20 +422,20 @@ class TestReadLive:
 class TestRendering:
     def test_render_top_flags_and_progress(self, tmp_path):
         base = tmp_path / "led.jsonl"
-        _write_ledger(base, [_header()])
+        _write_ledger(base, [_header(jobs=4)])
         now = 1000.0
         _write_ledger(
             shard_path(base, 0),
             [
                 _header(worker=0),
-                _beat(now - 10, 1, total=2, worker=0, job="slow-one"),
+                _beat(now - 10, 1, total=4, worker=0, job="slow-one"),
             ],
         )
         _write_ledger(
             shard_path(base, 1),
             [
                 _header(worker=1),
-                _beat(now - 200, 0, total=2, worker=1),
+                _beat(now - 200, 0, total=4, worker=1),
             ],
         )
         status = live.read_live(base, now=now, straggler_after_s=30.0)
@@ -474,7 +478,7 @@ class TestRendering:
 class TestMetricsExport:
     def test_export_campaign_metrics_openmetrics(self, tmp_path):
         base = tmp_path / "led.jsonl"
-        _write_ledger(base, [_header()])
+        _write_ledger(base, [_header(jobs=2)])
         _write_ledger(
             shard_path(base, 0),
             [
@@ -501,7 +505,7 @@ class TestMetricsExport:
 class TestTopCli:
     def test_top_once_flags_straggler(self, tmp_path, capsys):
         base = tmp_path / "led.jsonl"
-        _write_ledger(base, [_header()])
+        _write_ledger(base, [_header(jobs=2)])
         now = time.time()
         _write_ledger(
             shard_path(base, 0),
