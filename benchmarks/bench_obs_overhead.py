@@ -16,7 +16,6 @@ from __future__ import annotations
 from benchmarks.conftest import best_of, interleaved_best_of, run_once
 
 from repro import obs
-from repro.obs import profile as obs_profile
 from repro.core.controller import (
     _HOST_DECISION_POWER_W,
     SparseAdaptController,
@@ -25,7 +24,7 @@ from repro.core.modes import OptimizationMode
 from repro.core.schedule import EpochRecord, ScheduleResult
 from repro.core.training import train_default_model
 from repro.experiments.harness import build_trace
-from repro.transmuter import params
+from repro.transmuter import params, reconfig
 from repro.transmuter.machine import TransmuterModel
 from repro.transmuter.reconfig import (
     host_decision_overhead_s,
@@ -131,21 +130,21 @@ def test_tracing_disabled_overhead(benchmark, emit):
     )
 
 
-#: Component spans a single controller epoch can open with profiling
-#: on: kernel_sim + cache_model + power_model + forest_inference +
+#: Spans a single controller epoch can open with a sink installed:
+#: epoch + kernel_sim + cache_model + power_model + forest_inference +
 #: reconfig (the seed-loop comparison above already pays the disabled
 #: cost on both sides, so this bounds it absolutely too).
-SPANS_PER_EPOCH = 5
+SPANS_PER_EPOCH = 6
 
 
 def test_profiling_disabled_span_cost(benchmark, emit):
-    """The disabled profiler span must be nanoseconds, not microseconds.
+    """The disabled span must be nanoseconds, not microseconds.
 
     ``_seed_loop`` and ``controller.run`` both route through the
     instrumented callees, so the tracing guard above can no longer see
-    a profiler regression — it would slow both sides equally. Bound it
-    directly: the per-call cost of a disabled ``profile.span()`` times
-    the spans one epoch opens must stay under ``MAX_OVERHEAD`` of the
+    a span regression — it would slow both sides equally. Bound it
+    directly: the per-call cost of a disabled ``obs.span()`` times the
+    spans one epoch opens must stay under ``MAX_OVERHEAD`` of the
     measured per-epoch simulation cost.
     """
     trace = build_trace("spmspv", "P1", scale=0.3)
@@ -157,7 +156,7 @@ def test_profiling_disabled_span_cost(benchmark, emit):
     epoch_s = best_of(lambda: controller.run(trace)) / trace.n_epochs
 
     n = 20000
-    span = obs_profile.span
+    span = obs.span
 
     def _spin():
         for _ in range(n):
@@ -167,7 +166,7 @@ def test_profiling_disabled_span_cost(benchmark, emit):
     per_span_s = run_once(benchmark, lambda: best_of(_spin)) / n
     budget_s = MAX_OVERHEAD * epoch_s / SPANS_PER_EPOCH
     emit(
-        "disabled profiler span cost\n"
+        "disabled span cost\n"
         "  per span:        {:8.1f} ns\n"
         "  per-epoch budget: {:7.1f} ns ({} spans, {:.0%} of {:.1f} us "
         "epoch)".format(
@@ -179,7 +178,7 @@ def test_profiling_disabled_span_cost(benchmark, emit):
         )
     )
     assert per_span_s < budget_s, (
-        f"a disabled profile.span() costs {per_span_s * 1e9:.0f} ns; "
+        f"a disabled obs.span() costs {per_span_s * 1e9:.0f} ns; "
         f"{SPANS_PER_EPOCH} of them exceed {MAX_OVERHEAD:.0%} of the "
         f"{epoch_s * 1e6:.1f} us epoch cost"
     )
@@ -195,7 +194,12 @@ def test_profiling_byte_identical_results(benchmark, emit):
     )
 
     baseline = controller.run(trace).summary()
-    with obs_profile.profiling() as prof:
+    # Profile a cold-memo run: the baseline filled the controller's
+    # decision memo and the process-wide reconfiguration-cost memo, and
+    # a run answered from them opens no forest_inference/reconfig span.
+    controller.invalidate_memo()
+    reconfig._COST_MEMO.clear()
+    with obs.profiling() as prof:
         profiled = controller.run(trace).summary()
     assert profiled == baseline, (
         "profiling changed the schedule: the profiler must only "
@@ -208,7 +212,7 @@ def test_profiling_byte_identical_results(benchmark, emit):
     off_s = best_of(lambda: controller.run(trace))
 
     def _profiled():
-        with obs_profile.profiling():
+        with obs.profiling():
             controller.run(trace)
 
     on_s = run_once(benchmark, lambda: best_of(_profiled))

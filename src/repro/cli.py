@@ -903,11 +903,11 @@ def _emit_profile(profiler, args) -> None:
 
 
 def _command_run(args) -> int:
-    from repro.obs import profile as obs_profile
+    from repro import obs
 
     if not args.profile:
         return _run_single(args)
-    with obs_profile.profiling() as profiler:
+    with obs.profiling() as profiler:
         code = _run_single(args)
     if code == 0:
         _emit_profile(profiler, args)
@@ -1425,12 +1425,12 @@ def _command_suite_run(args) -> int:
 
     profiler = None
     if args.profile:
-        from repro.obs import profile as obs_profile
+        from repro import obs
 
         # Workers see the "profile" flag in their payload, run their
         # own Profiler, and export their span tree back to the parent
         # for merging — so the report covers the whole campaign.
-        with obs_profile.profiling() as profiler:
+        with obs.profiling() as profiler:
             report = execute()
     else:
         report = execute()
@@ -1888,16 +1888,15 @@ def _pretty_print(value, indent: int = 0) -> None:
 
 
 def _flush_trace_sinks() -> None:
-    """Best-effort close of a recorder left installed by an interrupted
-    command, so the trace on disk ends on a complete record. (The
-    ``obs.recording`` context manager already restores and closes on
-    the way out; this covers recorders installed without it.)"""
+    """Best-effort reset of the sinks an interrupted command left
+    installed, closing its recorder so the trace on disk ends on a
+    complete record. (``obs.recording``/``obs.profiling`` already
+    restore on the way out; this covers sinks installed without them.)"""
     from repro import obs
 
-    recorder = obs.get_recorder()
-    if getattr(recorder, "enabled", False):
+    recorder, _ = obs.install(None, None)
+    if recorder.enabled:
         try:
-            obs.install(None)
             recorder.close()
         except Exception:  # noqa: BLE001 - interrupt path, flush only
             pass

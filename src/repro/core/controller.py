@@ -277,9 +277,7 @@ class SparseAdaptController:
                     "reconfiguration command retries after read-back",
                 )
         for index, workload in enumerate(trace.epochs):
-            with recorder.span(
-                "epoch", epoch=index, phase=workload.phase
-            ) as span:
+            with obs.span("epoch", epoch=index, phase=workload.phase) as span:
                 environment = None
                 epoch_faults_start = 0
                 if injector is not None:

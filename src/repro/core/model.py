@@ -14,9 +14,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.core.telemetry import build_features, feature_groups, feature_names
 from repro.errors import ModelError
-from repro.obs import profile as obs_profile
 from repro.ml.metrics import grouped_importance
 from repro.transmuter.config import (
     RUNTIME_PARAMETERS,
@@ -72,7 +72,7 @@ class SparseAdaptModel:
                 f"model trained for l1_type={self.l1_type!r}, "
                 f"got {current.l1_type!r}"
             )
-        with obs_profile.span("forest_inference"):
+        with obs.span("forest_inference"):
             row = build_features(counters, current)
             tables = self.compiled_tables()
             values = {}
@@ -153,7 +153,7 @@ class SparseAdaptModel:
                 f"model trained for l1_type={self.l1_type!r}, "
                 f"got {current.l1_type!r}"
             )
-        with obs_profile.span("forest_inference"):
+        with obs.span("forest_inference"):
             return self._predict_with_provenance(counters, current)
 
     def _predict_with_provenance(

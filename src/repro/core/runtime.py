@@ -109,8 +109,7 @@ class TransmuterRuntime:
         achieved GFLOPS and GFLOPS/W) plus an always-on per-kernel
         offload counter; the span body is the controlled run itself.
         """
-        recorder = obs.get_recorder()
-        with recorder.span(
+        with obs.span(
             "offload", kernel=kernel, trace=trace.name, n_epochs=trace.n_epochs
         ) as span:
             schedule = self.run_trace(trace)
@@ -122,6 +121,7 @@ class TransmuterRuntime:
         obs.metrics.counter(
             "runtime.offloads", "kernels offloaded to the modeled device"
         ).labels(kernel=kernel).inc()
+        recorder = obs.get_recorder()
         if recorder.enabled:
             recorder.event(
                 "runtime.offload",

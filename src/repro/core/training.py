@@ -108,9 +108,9 @@ def train_default_model(
     key = (mode, kernel, l1_type, quick, k_samples, seed)
     if key in _MODEL_CACHE:
         return _MODEL_CACHE[key]
-    from repro.obs import profile as obs_profile
+    from repro import obs
 
-    with obs_profile.span("model_training"):
+    with obs.span("model_training"):
         phases = table3_phases(kernel, l1_type=l1_type, seed=seed)
         training_set = build_training_set(
             phases, mode, k_samples=k_samples, seed=seed

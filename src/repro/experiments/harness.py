@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.obs import profile as obs_profile
 from repro.baselines import (
     BASELINE,
     BEST_AVG_CACHE,
@@ -130,14 +129,12 @@ def build_trace(
         with _TRACE_CACHE_LOCK:
             if key in _TRACE_CACHE:
                 return _TRACE_CACHE[key]
-    recorder = obs.get_recorder()
-    with recorder.span(
-        "harness.build_trace", kernel=kernel, matrix=matrix_id, scale=scale
+    with obs.span(
+        "build_trace", kernel=kernel, matrix=matrix_id, scale=scale
     ) as span:
-        with obs_profile.span("build_trace"):
-            trace = _build_trace_uncached(
-                kernel, matrix_id, scale, epoch_fp_ops, vector_density, seed
-            )
+        trace = _build_trace_uncached(
+            kernel, matrix_id, scale, epoch_fp_ops, vector_density, seed
+        )
         span.set(n_epochs=trace.n_epochs)
     if use_cache:
         with _TRACE_CACHE_LOCK:
@@ -242,7 +239,7 @@ def evaluate_schemes(
     )
     table: Optional[EpochTable] = None
     if needs_table:
-        with obs_profile.span("epoch_table"):
+        with obs.span("epoch_table"):
             table = EpochTable(
                 context.machine,
                 context.trace,
@@ -254,7 +251,7 @@ def evaluate_schemes(
     pa_table: Optional[EpochTable] = None
     if any(name.startswith("ProfileAdapt") for name in schemes):
         pa_trace = context.profiling_epoch_trace or context.trace
-        with obs_profile.span("epoch_table"):
+        with obs.span("epoch_table"):
             pa_table = EpochTable(
                 context.machine,
                 pa_trace,
@@ -301,14 +298,14 @@ def evaluate_schemes(
             return profile_adapt(pa_table, context.mode, "ideal")
         raise ConfigError(f"unknown scheme {name!r}")
 
-    recorder = obs.get_recorder()
     results: Dict[str, ScheduleResult] = {}
     for name in schemes:
-        with recorder.span(
-            "harness.scheme", scheme=name, trace=context.trace.name
+        with obs.span(
+            f"scheme:{name.replace(' ', '_')}",
+            scheme=name,
+            trace=context.trace.name,
         ) as span:
-            with obs_profile.span(f"scheme:{name.replace(' ', '_')}"):
-                results[name] = run_scheme(name)
+            results[name] = run_scheme(name)
             span.set(
                 gflops=results[name].gflops,
                 gflops_per_watt=results[name].gflops_per_watt,

@@ -47,8 +47,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.errors import SimulationError
-from repro.obs import profile as obs_profile
 from repro.transmuter import params
 from repro.transmuter.config import HardwareConfig
 from repro.transmuter.counters import PerformanceCounters
@@ -548,7 +548,7 @@ class EpochGrid:
         self.configs = list(configs)
         self.n_workloads = len(self.workloads)
         self.n_configs = len(self.configs)
-        with obs_profile.span("epoch_batch"):
+        with obs.span("epoch_batch"):
             by_type: Dict[str, List[int]] = {}
             for j, cfg in enumerate(self.configs):
                 by_type.setdefault(cfg.l1_type, []).append(j)

@@ -238,9 +238,9 @@ def compile_forest(model) -> Dict[str, object]:
     one flat table per predicted runtime parameter, ``None`` where the
     estimator type has no compiled form.
     """
-    from repro.obs import profile as obs_profile
+    from repro import obs
 
-    with obs_profile.span("forest_compile"):
+    with obs.span("forest_compile"):
         return {
             name: compile_estimator(model.trees[name])
             for name in model.predicted_parameters()

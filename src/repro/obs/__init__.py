@@ -1,22 +1,27 @@
-"""Observability: structured tracing, metrics, trace reports.
+"""Observability: one span mechanism, metrics, trace reports.
 
 ``repro.obs`` sits below every other layer (stdlib-only, imports
 nothing from the rest of the repository except the error types) and
-gives the runtime three capabilities:
+gives the runtime these capabilities:
 
-* **Tracing** — :func:`recording` installs a :class:`TraceRecorder`
-  whose :meth:`~repro.obs.trace.TraceRecorder.span` /
-  :meth:`~repro.obs.trace.TraceRecorder.event` calls serialize to JSONL
-  through a pluggable sink (ring buffer, file, null). Disabled tracing
-  is a no-op fast path.
+* **Spans** — :func:`span` is the one instrumentation region. It is a
+  shared no-op while nothing is installed and otherwise feeds the
+  installed sinks (:func:`install`, :func:`current`): a
+  :class:`TraceRecorder` and/or a profiler.
+* **Tracing** — :func:`recording` installs a :class:`TraceRecorder`;
+  spans and :meth:`~repro.obs.trace.TraceRecorder.event` calls
+  serialize to JSONL through a pluggable sink (ring buffer, file,
+  null).
 * **Metrics** — :mod:`repro.obs.metrics` holds the process-wide
   registry of counters/gauges/histograms with labeled children,
   ``snapshot()`` dict export, Prometheus-style ``render()`` and the
   scraper-facing ``render_openmetrics()``.
-* **Profiling** — :mod:`repro.obs.profile` attributes wall-clock to
-  the instrumented components (kernel sim, forest inference, cache/
-  power models, reconfig, ledger/sink I/O) via hierarchical spans;
-  ``repro run/suite-run --profile`` and ``repro profile-report``.
+* **Profiling** — :func:`profiling` installs a
+  :class:`~repro.obs.profile.Profiler`, which accumulates the same
+  spans into a call-path tree attributing wall-clock to the
+  instrumented components (kernel sim, forest inference, cache/power
+  models, reconfig, ledger/sink I/O); ``repro run/suite-run
+  --profile`` and ``repro profile-report``.
 * **Live campaigns** — :mod:`repro.obs.live` aggregates the runner's
   heartbeat records into progress/ETA/straggler status (``repro top``).
 * **Reports** — :mod:`repro.obs.report` summarizes a recorded trace
@@ -52,9 +57,12 @@ from repro.obs.sinks import (
 from repro.obs.trace import (
     Span,
     TraceRecorder,
+    current,
     get_recorder,
     install,
+    profiling,
     recording,
+    span,
 )
 
 __all__ = [
@@ -75,7 +83,10 @@ __all__ = [
     "write_jsonl",
     "Span",
     "TraceRecorder",
+    "current",
     "get_recorder",
     "install",
+    "profiling",
     "recording",
+    "span",
 ]

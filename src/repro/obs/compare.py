@@ -730,9 +730,7 @@ def drill_down(
 
     traces: List[List[dict]] = []
     for entry in selected:
-        sink = obs.MemorySink()
-        previous = obs.install(obs.TraceRecorder(sink))
-        try:
+        with obs.recording() as recorder:
             trace = build_trace(
                 load.kernel, load.matrix, scale=load.scale, seed=seed
             )
@@ -768,9 +766,7 @@ def drill_down(
                 ),
             )
             evaluate_schemes(context, ("SparseAdapt",))
-        finally:
-            obs.install(previous)
-        traces.append(sink.records())
+        traces.append(recorder.sink.records())
 
     return diff_traces(
         traces[0],

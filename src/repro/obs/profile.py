@@ -1,14 +1,18 @@
-"""Hierarchical wall-clock profiler for campaign hot-path attribution.
+"""Hierarchical wall-clock accumulator for campaign hot-path attribution.
 
 Traces answer "what did the controller decide"; the profiler answers
-"where did the wall-clock go". Instrumented components — kernel
-simulation, forest inference, the analytical cache/power models,
-reconfiguration costing, ledger/sink I/O — open *spans*::
+"where did the wall-clock go". Both are sinks of the one span mechanism
+in :mod:`repro.obs.trace`: instrumented components — kernel simulation,
+forest inference, the analytical cache/power models, reconfiguration
+costing, ledger/sink I/O — open ``obs.span(...)`` regions, and while a
+:class:`Profiler` is installed (``obs.profiling()``) every region exit
+lands here as one call-path node update::
 
-    from repro.obs import profile
+    from repro import obs
 
-    with profile.span("kernel_sim"):
-        ...  # may open nested spans
+    with obs.profiling() as prof:
+        with obs.span("kernel_sim"):
+            ...  # may open nested spans
 
 Spans form a tree keyed by the call path (``kernel_sim;cache_model``),
 each node accumulating call count and cumulative seconds; self time is
@@ -17,22 +21,14 @@ The collapsed-stack export (one ``a;b;c <self_us>`` line per path) is
 the flamegraph interchange format, so any stock flamegraph tool can
 render a campaign profile.
 
-Design mirrors :mod:`repro.obs.trace`: a process-wide current profiler
-behind :func:`get_profiler`/:func:`install`, with a shared disabled
-null profiler as the default so the disabled fast path is one attribute
-check and a shared no-op context manager — cheap enough to leave the
-instrumentation compiled in permanently (guarded in
-``benchmarks/bench_obs_overhead.py``).
-
 Thread safety matters here: the runner's deadline watchdog executes
 each job attempt in its own thread, so span stacks are thread-local
 (every thread nests from the root) while the accumulated tree is
 shared under one lock. Lock traffic is per span entry/exit at component
 granularity, not per epoch-inner-loop operation.
 
-Stdlib-only and importing nothing from ``repro``: the modules being
-instrumented (sinks, ledger, machine) import *this* module, so it must
-sit at the bottom of the dependency graph.
+Stdlib-only and importing nothing from ``repro``, so it sits at the
+bottom of the dependency graph.
 """
 
 from __future__ import annotations
@@ -45,10 +41,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "Profiler",
-    "get_profiler",
-    "install",
-    "profiling",
-    "span",
     "collapsed_stacks",
     "component_breakdown",
     "format_profile_report",
@@ -57,21 +49,6 @@ __all__ = [
 ]
 
 PROFILE_SCHEMA_VERSION = 1
-
-
-class _NullSpan:
-    """Shared do-nothing span: the disabled fast path allocates nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class _Node:
@@ -86,39 +63,16 @@ class _Node:
         self.children: Dict[str, "_Node"] = {}
 
 
-class _Span:
-    """A live timer frame; created only when profiling is enabled."""
-
-    __slots__ = ("_profiler", "_name", "_node", "_start")
-
-    def __init__(self, profiler: "Profiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-        self._node: Optional[_Node] = None
-        self._start = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._node = self._profiler._push(self._name)
-        self._start = self._profiler._clock()
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        elapsed = self._profiler._clock() - self._start
-        self._profiler._pop(self._node, elapsed)
-        return False
-
-
 class Profiler:
     """Accumulates a span tree; one per profiled command or worker.
 
     ``clock`` is injectable for deterministic tests (defaults to
-    :func:`time.perf_counter`). The profiler is enabled on creation;
-    the module-level null profiler is the only disabled instance.
+    :func:`time.perf_counter`); spans opened while this profiler is
+    installed time themselves with it.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
-        self.enabled = True
-        self._clock = clock
+        self.clock = clock
         self._root = _Node("")
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -126,12 +80,6 @@ class Profiler:
         self._stopped: Optional[float] = None
 
     # ------------------------------------------------------------------
-    def span(self, name: str) -> object:
-        """A context-manager timer frame nested under the current one."""
-        if not self.enabled:
-            return _NULL_SPAN
-        return _Span(self, name)
-
     def _stack(self) -> List[_Node]:
         stack = getattr(self._local, "stack", None)
         if stack is None:
@@ -139,7 +87,8 @@ class Profiler:
             self._local.stack = stack
         return stack
 
-    def _push(self, name: str) -> _Node:
+    def push(self, name: str) -> _Node:
+        """Enter frame ``name`` under this thread's innermost open one."""
         stack = self._stack()
         parent = stack[-1]
         with self._lock:
@@ -150,12 +99,11 @@ class Profiler:
         stack.append(node)
         return node
 
-    def _pop(self, node: Optional[_Node], elapsed: float) -> None:
+    def pop(self, node: _Node, elapsed: float) -> None:
+        """Leave ``node`` (from :meth:`push`), charging it ``elapsed``."""
         stack = self._stack()
         if len(stack) > 1 and stack[-1] is node:
             stack.pop()
-        if node is None:  # pragma: no cover - defensive
-            return
         with self._lock:
             node.calls += 1
             node.cum_s += elapsed
@@ -164,12 +112,12 @@ class Profiler:
     def stop(self) -> None:
         """Freeze the wall-clock window (idempotent)."""
         if self._stopped is None:
-            self._stopped = self._clock()
+            self._stopped = self.clock()
 
     @property
     def wall_s(self) -> float:
         """Wall-clock seconds since creation (frozen by :meth:`stop`)."""
-        end = self._stopped if self._stopped is not None else self._clock()
+        end = self._stopped if self._stopped is not None else self.clock()
         return end - self._started
 
     # ------------------------------------------------------------------
@@ -178,11 +126,10 @@ class Profiler:
 
         Node counts and cumulative times add; the worker's wall-clock
         window is discarded (workers overlap — the supervising
-        profiler's own window is the campaign wall-clock). A disabled
-        profiler ignores merges, and ``None`` (a worker that ran
-        unprofiled) is a no-op.
+        profiler's own window is the campaign wall-clock). ``None`` (a
+        worker that ran unprofiled) is a no-op.
         """
-        if not self.enabled or not data:
+        if not data:
             return
         with self._lock:
             for entry in data.get("nodes", ()):
@@ -237,68 +184,6 @@ class Profiler:
             "wall_s": self.wall_s,
             "nodes": nodes,
         }
-
-
-# ---------------------------------------------------------------------------
-# Process-wide current profiler (mirrors trace.py's recorder plumbing).
-
-_NULL_PROFILER = Profiler()
-_NULL_PROFILER.enabled = False
-
-_current: Profiler = _NULL_PROFILER
-
-
-def get_profiler() -> Profiler:
-    """The process-wide current profiler (a disabled one by default)."""
-    return _current
-
-
-def install(profiler: Optional[Profiler]) -> Profiler:
-    """Make ``profiler`` current; ``None`` restores the disabled null
-    profiler. Returns the previously installed profiler."""
-    global _current
-    previous = _current
-    _current = profiler if profiler is not None else _NULL_PROFILER
-    return previous
-
-
-def span(name: str) -> object:
-    """Module-level shortcut: a span on the current profiler.
-
-    This is the call instrumentation points use; when no profiler is
-    installed it returns the shared null span without allocating.
-    """
-    profiler = _current
-    if not profiler.enabled:
-        return _NULL_SPAN
-    return profiler.span(name)
-
-
-class profiling:
-    """Context manager: install a fresh (or given) profiler, restore on
-    exit, and freeze its wall-clock window::
-
-        with profile.profiling() as prof:
-            run_campaign()
-        print(format_profile_report(prof.as_dict()))
-    """
-
-    def __init__(self, profiler: Optional[Profiler] = None) -> None:
-        self.profiler = profiler if profiler is not None else Profiler()
-        self._previous: Optional[Profiler] = None
-
-    def __enter__(self) -> Profiler:
-        self._previous = install(self.profiler)
-        return self.profiler
-
-    def __exit__(self, *exc_info) -> bool:
-        self.profiler.stop()
-        install(
-            self._previous
-            if self._previous is not _NULL_PROFILER
-            else None
-        )
-        return False
 
 
 # ---------------------------------------------------------------------------

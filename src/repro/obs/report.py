@@ -38,8 +38,9 @@ __all__ = [
 
 #: Trace schema versions this tooling knows how to read. Version 1
 #: (PR 1, no header record) parses fine but lacks per-epoch config
-#: values and provenance records.
-SUPPORTED_SCHEMA_VERSIONS = (1, SCHEMA_VERSION)
+#: values and provenance records; version 2 differs from 3 only in
+#: span names the readers do not key on.
+SUPPORTED_SCHEMA_VERSIONS = (1, 2, SCHEMA_VERSION)
 
 
 def load_trace(path: Union[str, Path]) -> List[Dict]:

@@ -22,8 +22,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, TextIO, Union
 
-from repro.obs import profile as obs_profile
-
 __all__ = [
     "TraceSink",
     "NullSink",
@@ -272,9 +270,8 @@ class FileSink(TraceSink):
         self._handle = self._part_path.open("w", encoding="utf-8")
 
     def emit(self, record: Dict) -> None:
-        with obs_profile.span("sink_io"):
-            self._handle.write(encode_record(record) + "\n")
-            self.emitted += 1
+        self._handle.write(encode_record(record) + "\n")
+        self.emitted += 1
 
     def close(self) -> None:
         if not self._handle.closed:

@@ -1,13 +1,17 @@
-"""Structured tracing: spans, events, and the process recorder.
+"""Structured tracing and the one span mechanism behind it.
 
-A :class:`TraceRecorder` turns instrumentation calls into flat record
-dicts and hands them to a :class:`~repro.obs.sinks.TraceSink`:
+:func:`span` is the only instrumentation region in the repository::
 
-* ``recorder.event("reconfig", epoch=3, cost_s=1e-5)`` — a point in
-  time with attributes;
-* ``with recorder.span("epoch", epoch=3) as span: ...`` — a timed
-  region; ``span.set(**attrs)`` attaches attributes discovered while
-  the span is open (the record is emitted at exit).
+    with obs.span("epoch", epoch=3) as span:
+        ...
+        span.set(time_s=1e-6)  # attributes discovered while open
+
+It feeds whichever sinks are installed (:func:`install`):
+
+* a :class:`TraceRecorder` — the region becomes one JSONL ``span``
+  record (``recorder.event(...)`` adds point-in-time records);
+* a :class:`~repro.obs.profile.Profiler` — the region becomes one
+  call-path node update in its wall-clock tree.
 
 Record schema (one JSON object per line when file-backed)::
 
@@ -15,8 +19,8 @@ Record schema (one JSON object per line when file-backed)::
      "dur_s": 0.0021, "attrs": {"epoch": 3, ...}}
 
 ``seq`` is a monotonically increasing per-recorder sequence number,
-``ts`` the offset in seconds from recorder creation (spans stamp their
-*start*), ``dur_s`` is present on spans only.
+``ts`` the offset in seconds from recorder creation at emission,
+``dur_s`` is present on spans only.
 
 An enabled recorder stamps a ``header`` record (name ``trace``) as its
 very first emission, carrying :data:`SCHEMA_VERSION` so downstream
@@ -24,12 +28,13 @@ tooling (``repro trace-report`` / ``diff`` / ``explain``) can detect
 format drift instead of misreading a trace. Traces from before the
 header existed are treated as schema version 1.
 
-The disabled case is a hard fast path: the module-level default
-recorder wraps a :class:`NullSink`, its ``enabled`` flag is ``False``,
-``event()`` returns immediately, and ``span()`` hands back a shared
-no-op span. Instrumented hot loops check ``recorder.enabled`` once and
-skip attribute assembly entirely, so tracing-off adds no measurable
-cost to a run.
+The disabled case is a hard fast path: with no sink installed,
+:func:`span` is one global check returning a shared no-op span, and the
+default recorder (:func:`get_recorder`) wraps a :class:`NullSink` with
+``enabled = False`` so instrumented hot loops skip attribute assembly
+entirely. Handing a record to a sink is timed as a ``sink_io`` region
+that only the profiler sees: a span opened while a record is being
+emitted is never itself emitted.
 """
 
 from __future__ import annotations
@@ -38,29 +43,36 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Tuple, Union
 
+from repro.obs.profile import Profiler
 from repro.obs.sinks import FileSink, MemorySink, NullSink, TraceSink
 
 __all__ = [
     "SCHEMA_VERSION",
     "Span",
     "TraceRecorder",
+    "current",
     "get_recorder",
     "install",
+    "profiling",
     "recording",
+    "span",
 ]
 
 #: Version of the trace record schema. Bump when record names, required
 #: attributes, or field meanings change incompatibly. History:
 #: 1 — PR 1 format (spans/events, no header);
 #: 2 — header record, per-epoch ``config_values``, ``provenance``
-#:     events with decision paths and policy verdicts.
-SCHEMA_VERSION = 2
+#:     events with decision paths and policy verdicts;
+#: 3 — one span mechanism: component spans (``kernel_sim``,
+#:     ``forest_inference``, ...) are span records, ``harness.build_trace``
+#:     is ``build_trace`` and ``harness.scheme`` is ``scheme:<Name>``.
+SCHEMA_VERSION = 3
 
 
 class _NullSpan:
-    """Shared no-op span returned while tracing is disabled."""
+    """Shared no-op span returned while no sink is installed."""
 
     __slots__ = ()
 
@@ -78,14 +90,27 @@ _NULL_SPAN = _NullSpan()
 
 
 class Span:
-    """A timed region; emitted to the sink when the ``with`` block exits."""
+    """A timed region: one clock, reported at exit to the sinks that
+    were installed when it opened."""
 
-    __slots__ = ("_recorder", "name", "attrs", "_start")
+    __slots__ = ("name", "attrs", "_recorder", "_profiler", "_clock",
+                 "_node", "_start")
 
-    def __init__(self, recorder: "TraceRecorder", name: str, attrs: dict) -> None:
-        self._recorder = recorder
+    def __init__(
+        self,
+        name: str,
+        attrs: dict,
+        recorder: Optional["TraceRecorder"],
+        profiler: Optional[Profiler],
+    ) -> None:
         self.name = name
         self.attrs = attrs
+        self._recorder = recorder
+        self._profiler = profiler
+        self._clock = (
+            profiler.clock if profiler is not None else time.perf_counter
+        )
+        self._node = None
         self._start = 0.0
 
     def set(self, **attrs) -> "Span":
@@ -94,12 +119,17 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        self._start = time.perf_counter()
+        if self._profiler is not None:
+            self._node = self._profiler.push(self.name)
+        self._start = self._clock()
         return self
 
     def __exit__(self, *exc_info) -> bool:
-        duration = time.perf_counter() - self._start
-        self._recorder._emit("span", self.name, self.attrs, dur_s=duration)
+        elapsed = self._clock() - self._start
+        if self._profiler is not None:
+            self._profiler.pop(self._node, elapsed)
+        if self._recorder is not None:
+            self._recorder._emit("span", self.name, self.attrs, dur_s=elapsed)
         return False
 
 
@@ -115,13 +145,6 @@ class TraceRecorder:
         self._lock = threading.Lock()
         if self.enabled:
             self._emit("header", "trace", {"schema_version": SCHEMA_VERSION})
-
-    # ------------------------------------------------------------------
-    def span(self, name: str, **attrs):
-        """A context manager timing one named region."""
-        if not self.enabled:
-            return _NULL_SPAN
-        return Span(self, name, attrs)
 
     def event(self, name: str, **attrs) -> None:
         """Record a point-in-time event."""
@@ -143,7 +166,12 @@ class TraceRecorder:
         }
         if dur_s is not None:
             record["dur_s"] = round(dur_s, 9)
-        self.sink.emit(record)
+        _emitting.active = True
+        try:
+            with span("sink_io"):
+                self.sink.emit(record)
+        finally:
+            _emitting.active = False
 
     @property
     def n_emitted(self) -> int:
@@ -154,25 +182,60 @@ class TraceRecorder:
         self.sink.close()
 
 
+# ---------------------------------------------------------------------------
+# The installed sinks. ``_active`` is the single check of the disabled
+# fast path; ``_emitting`` marks a thread handing a record to a sink.
+
 #: The always-installed disabled recorder; instrumentation sees this
 #: unless a run is explicitly being traced.
 _NULL_RECORDER = TraceRecorder()
-_current: TraceRecorder = _NULL_RECORDER
+_recorder: TraceRecorder = _NULL_RECORDER
+_profiler: Optional[Profiler] = None
+_active = False
+_emitting = threading.local()
+
+_KEEP = object()
+
+
+def span(name: str, **attrs) -> Union[Span, _NullSpan]:
+    """A context manager timing one named region into the installed
+    sinks; the shared no-op span when there are none."""
+    if not _active:
+        return _NULL_SPAN
+    recorder = _recorder
+    if not recorder.enabled or getattr(_emitting, "active", False):
+        recorder = None
+    if recorder is None and _profiler is None:
+        return _NULL_SPAN
+    return Span(name, attrs, recorder, _profiler)
 
 
 def get_recorder() -> TraceRecorder:
     """The process-wide recorder instrumentation should use."""
-    return _current
+    return _recorder
 
 
-def install(recorder: Optional[TraceRecorder]) -> TraceRecorder:
-    """Swap the process recorder; returns the previous one.
+def current() -> Tuple[TraceRecorder, Optional[Profiler]]:
+    """The installed ``(recorder, profiler)``; the recorder is the
+    disabled one and the profiler ``None`` when that sink is off."""
+    return _recorder, _profiler
 
-    Passing ``None`` restores the disabled recorder.
+
+def install(
+    recorder=_KEEP, profiler=_KEEP
+) -> Tuple[TraceRecorder, Optional[Profiler]]:
+    """Swap the installed sinks; returns the previous pair, so
+    ``install(*previous)`` restores it.
+
+    An omitted argument keeps that sink; ``None`` turns it off.
     """
-    global _current
-    previous = _current
-    _current = recorder if recorder is not None else _NULL_RECORDER
+    global _recorder, _profiler, _active
+    previous = (_recorder, _profiler)
+    if recorder is not _KEEP:
+        _recorder = recorder if recorder is not None else _NULL_RECORDER
+    if profiler is not _KEEP:
+        _profiler = profiler
+    _active = _recorder.enabled or _profiler is not None
     return previous
 
 
@@ -186,7 +249,7 @@ def recording(
     ``target`` selects the sink: a path records to a JSONL file, an
     explicit :class:`TraceSink` is used as-is, and ``None`` records to
     an in-memory ring buffer of ``capacity`` records. The previous
-    recorder is restored (and the sink closed) on exit.
+    recorder is restored (and this sink closed) on exit.
     """
     if target is None:
         sink: TraceSink = MemorySink(capacity)
@@ -195,9 +258,28 @@ def recording(
     else:
         sink = target
     recorder = TraceRecorder(sink)
-    previous = install(recorder)
+    previous, _ = install(recorder)
     try:
         yield recorder
     finally:
         install(previous)
         recorder.close()
+
+
+@contextmanager
+def profiling(profiler: Optional[Profiler] = None) -> Iterator[Profiler]:
+    """Profile everything inside the block into a fresh (or given)
+    profiler, restoring the previous profiler and freezing this one's
+    wall-clock window on exit::
+
+        with obs.profiling() as prof:
+            run_campaign()
+        print(format_profile_report(prof.as_dict()))
+    """
+    profiler = profiler if profiler is not None else Profiler()
+    _, previous = install(profiler=profiler)
+    try:
+        yield profiler
+    finally:
+        profiler.stop()
+        install(profiler=previous)

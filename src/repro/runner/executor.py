@@ -48,7 +48,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.obs import profile as obs_profile
 from repro.errors import (
     ConfigError,
     JobTimeoutError,
@@ -375,7 +374,7 @@ class SuiteRunner:
             plan_name=name,
         )
         root = private_store_path(ledger.path)
-        profiler = obs_profile.get_profiler()
+        _, profiler = obs.current()
         outcomes: Dict[int, dict] = {}
         interrupted = False
         try:
@@ -389,7 +388,7 @@ class SuiteRunner:
                 config=self.config,
                 faults=self.faults_schedule,
             )
-            payload = {"store": str(root), "profile": profiler.enabled}
+            payload = {"store": str(root), "profile": profiler is not None}
             pool = cf.ProcessPoolExecutor(max_workers=n_workers)
             try:
                 futures = {}
@@ -420,7 +419,9 @@ class SuiteRunner:
                         else:
                             # Workers profile their own process; fold
                             # their span trees into the campaign's.
-                            profiler.merge(outcome.pop("profile", None))
+                            profile = outcome.pop("profile", None)
+                            if profiler is not None:
+                                profiler.merge(profile)
                             interrupted |= outcome["interrupted"]
                             self._emit(
                                 recorder,

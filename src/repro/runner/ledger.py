@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import obs
 from repro.errors import ConfigError
-from repro.obs import profile as obs_profile
 from repro.obs.sinks import encode_record, fsync_dir
 
 _io_shim_module = None
@@ -267,7 +267,7 @@ class RunLedger:
         flush-only, and emitted on renewal-thread timing, which would
         make crash-point operation counts nondeterministic.
         """
-        with obs_profile.span("ledger_io"):
+        with obs.span("ledger_io"):
             shim = _io_shim()
             shim.write(
                 self._handle,
@@ -340,7 +340,7 @@ class RunLedger:
             record["worker"] = self.worker
         if job is not None:
             record["job"] = job
-        with obs_profile.span("ledger_io"):
+        with obs.span("ledger_io"):
             self._handle.write(encode_record(record) + "\n")
             self._handle.flush()
 

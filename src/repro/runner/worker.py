@@ -94,6 +94,7 @@ def _evaluate_fn(payload: dict) -> Callable[[], dict]:
     is a :class:`JobSpec` dict, revalidated on the worker side."""
 
     def fn() -> dict:
+        from repro import obs
         from repro.core import load_model
         from repro.core.hardening import HardeningConfig
         from repro.core.modes import OptimizationMode
@@ -107,7 +108,6 @@ def _evaluate_fn(payload: dict) -> Callable[[], dict]:
             oracle_regret,
         )
         from repro.faults.spec import FaultSchedule
-        from repro.obs import profile as obs_profile
         from repro.runner.plan import JobSpec
         from repro.transmuter.machine import TransmuterModel
 
@@ -120,7 +120,7 @@ def _evaluate_fn(payload: dict) -> Callable[[], dict]:
         # One root frame per evaluate job, so every instrumented
         # component below (trace building, schemes, kernel sim, ...)
         # nests under it in the campaign flamegraph.
-        with obs_profile.span("evaluate_job"):
+        with obs.span("evaluate_job"):
             trace = build_trace(
                 spec.kernel, spec.matrix, scale=spec.scale, seed=spec.seed
             )
@@ -162,7 +162,7 @@ def _evaluate_fn(payload: dict) -> Callable[[], dict]:
             if spec.regret:
                 from repro.baselines import EpochTable
 
-                with obs_profile.span("epoch_table"):
+                with obs.span("epoch_table"):
                     table = EpochTable(
                         context.machine,
                         trace,
@@ -292,19 +292,17 @@ def run_worker_shard(payload: dict) -> dict:
     published), an interrupt flag and, when profiled, its span tree.
     """
     from repro import obs
-    from repro.obs import profile as obs_profile
+    from repro.obs.profile import Profiler
     from repro.runner.store import ExperimentStore, run_store_worker
 
-    # A forked child inherits the parent's installed recorder and its
-    # open sink handle; concurrent appends from N processes would
-    # interleave mid-record. Workers therefore run untraced. The same
-    # goes for an inherited profiler (its tree would die with the
-    # fork): when the campaign is profiled, each worker runs a fresh
-    # profiler of its own and ships the span tree back in the summary
-    # for the parent to merge.
-    obs.install(None)
-    profiler = obs_profile.Profiler() if payload.get("profile") else None
-    obs_profile.install(profiler)
+    # A forked child inherits the parent's installed sinks: the
+    # recorder's open file handle (concurrent appends from N processes
+    # would interleave mid-record) and a profiler whose tree would die
+    # with the fork. Workers therefore run untraced and, when the
+    # campaign is profiled, under a fresh profiler of their own whose
+    # span tree ships back in the summary for the parent to merge.
+    profiler = Profiler() if payload.get("profile") else None
+    obs.install(None, profiler)
     try:
         summary = run_store_worker(
             ExperimentStore.attach(payload["store"]),

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.obs import get_recorder
 from repro.obs import metrics as obs_metrics
-from repro.obs import profile as obs_profile
 from repro.transmuter import params
 from repro.transmuter.cache_model import LevelBehaviour, LevelInputs, model_level
 from repro.transmuter.config import HardwareConfig
@@ -273,7 +273,7 @@ class TransmuterModel:
         and its counters echo them. ``None`` (the default) is the
         healthy fast path and leaves the modeled numbers untouched.
         """
-        with obs_profile.span("kernel_sim"):
+        with obs.span("kernel_sim"):
             return self._simulate_epoch(workload, config, environment)
 
     def _simulate_epoch(
@@ -301,7 +301,7 @@ class TransmuterModel:
         )
         instructions_per_gpe = instructions / self.n_gpes * imbalance
 
-        with obs_profile.span("cache_model"):
+        with obs.span("cache_model"):
             l1 = self._model_l1(workload, config)
             l2 = self._model_l2(workload, config, l1.misses)
 
@@ -357,7 +357,7 @@ class TransmuterModel:
         elapsed = _soft_roofline(core_time, memory_time)
         memory_io = memory.transfer(read_bytes, write_bytes, elapsed)
 
-        with obs_profile.span("power_model"):
+        with obs.span("power_model"):
             energy = self.power.epoch_energy(
                 config=config,
                 point=point,

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.errors import ConfigError
-from repro.obs import profile as obs_profile
 from repro.transmuter import params
 from repro.transmuter.config import RUNTIME_PARAMETERS, HardwareConfig
 from repro.transmuter.dvfs import operating_point
@@ -191,7 +191,7 @@ def reconfiguration_cost(
         cached = _COST_MEMO.get(key)
         if cached is not None:
             return cached
-        with obs_profile.span("reconfig"):
+        with obs.span("reconfig"):
             cost = _reconfiguration_cost(
                 old, new, power, bandwidth_gbps, dirty_bytes_hint,
                 allow_memory_mode,
@@ -200,7 +200,7 @@ def reconfiguration_cost(
             _COST_MEMO.clear()
         _COST_MEMO[key] = cost
         return cost
-    with obs_profile.span("reconfig"):
+    with obs.span("reconfig"):
         return _reconfiguration_cost(
             old, new, power, bandwidth_gbps, dirty_bytes_hint,
             allow_memory_mode,

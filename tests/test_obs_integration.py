@@ -229,7 +229,7 @@ class TestTraceReportPipeline:
         spans = [
             r
             for r in recorder.sink.records()
-            if r["name"] == "harness.build_trace"
+            if r["name"] == "build_trace"
         ]
         assert len(spans) == 1
         assert spans[0]["attrs"]["matrix"] == "P1"

@@ -1,10 +1,11 @@
 """Tests for the hierarchical wall-clock profiler (repro.obs.profile).
 
-Covers the accumulation math under a fake clock, the disabled no-op
-fast path, install/restore semantics, the report/collapsed-stack/save
-formats, cross-thread nesting, worker-profile merging through the
-parallel runner, and the byte-identity promise (profiling must never
-perturb modeled results).
+Covers the accumulation math of ``obs.span`` regions under a fake
+clock, the disabled no-op fast path, install/restore semantics, the
+report/collapsed-stack/save formats, cross-thread nesting,
+worker-profile merging through the parallel runner, the byte-identity
+promise (profiling must never perturb modeled results), and one span
+feeding the trace recorder and the profiler at once.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 from repro.core.controller import SparseAdaptController
 from repro.core.modes import OptimizationMode
 from repro.core.training import train_default_model
+from repro import obs
 from repro.experiments.harness import build_trace
 from repro.obs import profile
 from repro.runner import PortableJob, SuiteRunner, SupervisorConfig
@@ -40,9 +42,10 @@ class TestAccumulation:
         prof = profile.Profiler(clock=clock)
         # Timeline (1 tick per clock read): outer start, inner start,
         # inner end, outer end -> inner cum 1, outer cum 3, self 2.
-        with prof.span("outer"):
-            with prof.span("inner"):
-                pass
+        with obs.profiling(prof):
+            with obs.span("outer"):
+                with obs.span("inner"):
+                    pass
         data = prof.as_dict()
         nodes = {tuple(n["path"]): n for n in data["nodes"]}
         assert nodes[("outer",)]["calls"] == 1
@@ -54,21 +57,23 @@ class TestAccumulation:
 
     def test_sibling_spans_accumulate_calls(self):
         prof = profile.Profiler(clock=FakeClock())
-        for _ in range(3):
-            with prof.span("a"):
-                pass
+        with obs.profiling(prof):
+            for _ in range(3):
+                with obs.span("a"):
+                    pass
         node = prof.as_dict()["nodes"][0]
         assert node["path"] == ["a"]
         assert node["calls"] == 3
 
     def test_same_name_different_paths_stay_separate(self):
         prof = profile.Profiler(clock=FakeClock())
-        with prof.span("x"):
-            with prof.span("leaf"):
-                pass
-        with prof.span("y"):
-            with prof.span("leaf"):
-                pass
+        with obs.profiling(prof):
+            with obs.span("x"):
+                with obs.span("leaf"):
+                    pass
+            with obs.span("y"):
+                with obs.span("leaf"):
+                    pass
         paths = {tuple(n["path"]) for n in prof.as_dict()["nodes"]}
         assert ("x", "leaf") in paths and ("y", "leaf") in paths
 
@@ -97,41 +102,43 @@ class TestAccumulation:
 
     def test_nodes_sorted_by_path(self):
         prof = profile.Profiler(clock=FakeClock())
-        for name in ("zeta", "alpha", "mid"):
-            with prof.span(name):
-                pass
+        with obs.profiling(prof):
+            for name in ("zeta", "alpha", "mid"):
+                with obs.span(name):
+                    pass
         paths = [tuple(n["path"]) for n in prof.as_dict()["nodes"]]
         assert paths == sorted(paths)
 
 
 class TestInstallAndNullPath:
     def test_default_profiler_is_disabled(self):
-        assert profile.get_profiler().enabled is False
+        assert obs.current() == (obs.get_recorder(), None)
+        assert obs.get_recorder().enabled is False
+        assert type(obs.span("x")).__name__ == "_NullSpan"
 
     def test_disabled_span_is_shared_null_object(self):
-        a = profile.span("x")
-        b = profile.span("y")
+        a = obs.span("x")
+        b = obs.span("y")
         assert a is b  # no allocation on the disabled path
 
     def test_profiling_context_installs_and_restores(self):
-        before = profile.get_profiler()
-        with profile.profiling() as prof:
-            assert profile.get_profiler() is prof
-            assert prof.enabled
-        assert profile.get_profiler() is before
+        before = obs.current()
+        with obs.profiling() as prof:
+            assert obs.current()[1] is prof
+        assert obs.current() == before
 
     def test_install_returns_previous(self):
         prof = profile.Profiler()
-        previous = profile.install(prof)
+        previous = obs.install(profiler=prof)
         try:
-            assert profile.get_profiler() is prof
+            assert obs.current()[1] is prof
         finally:
-            assert profile.install(None) is prof
-        assert previous.enabled is False
+            assert obs.install(profiler=None)[1] is prof
+        assert previous[1] is None
 
     def test_module_span_records_into_installed_profiler(self):
-        with profile.profiling() as prof:
-            with profile.span("recorded"):
+        with obs.profiling() as prof:
+            with obs.span("recorded"):
                 pass
         assert [n["path"] for n in prof.as_dict()["nodes"]] == [["recorded"]]
 
@@ -139,9 +146,10 @@ class TestInstallAndNullPath:
 class TestMerge:
     def test_merge_adds_counts_and_times(self):
         prof = profile.Profiler(clock=FakeClock())
-        with prof.span("a"):
-            with prof.span("b"):
-                pass
+        with obs.profiling(prof):
+            with obs.span("a"):
+                with obs.span("b"):
+                    pass
         exported = prof.as_dict()
         prof.merge(exported)
         nodes = {tuple(n["path"]): n for n in prof.as_dict()["nodes"]}
@@ -154,17 +162,18 @@ class TestMerge:
         prof = profile.Profiler(clock=FakeClock())
         prof.merge(None)
         assert prof.as_dict()["nodes"] == []
-        null = profile.get_profiler()
-        null.merge({"nodes": [{"path": ["x"], "calls": 1, "cum_s": 1.0}]})
-        assert null.as_dict()["nodes"] == []
+        # Disabled profiling has no profiler to merge into: callers
+        # such as the parallel runner skip the merge.
+        assert obs.current()[1] is None
 
 
 class TestReports:
     def _sample(self):
         prof = profile.Profiler(clock=FakeClock())
-        with prof.span("kernel sim;odd"):
-            with prof.span("cache"):
-                pass
+        with obs.profiling(prof):
+            with obs.span("kernel sim;odd"):
+                with obs.span("cache"):
+                    pass
         return prof.as_dict()
 
     def test_collapsed_stack_format_and_sanitization(self):
@@ -183,12 +192,13 @@ class TestReports:
 
     def test_component_breakdown_groups_by_leaf(self):
         prof = profile.Profiler(clock=FakeClock())
-        with prof.span("a"):
-            with prof.span("leaf"):
-                pass
-        with prof.span("b"):
-            with prof.span("leaf"):
-                pass
+        with obs.profiling(prof):
+            with obs.span("a"):
+                with obs.span("leaf"):
+                    pass
+            with obs.span("b"):
+                with obs.span("leaf"):
+                    pass
         components = profile.component_breakdown(prof.as_dict())
         assert components["leaf"]["calls"] == 2
 
@@ -210,9 +220,9 @@ class TestReports:
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         prof = profile.Profiler(clock=FakeClock())
-        with prof.span("a"):
-            pass
-        prof.stop()
+        with obs.profiling(prof):
+            with obs.span("a"):
+                pass
         path = tmp_path / "p.json"
         data = prof.as_dict()
         profile.save_profile(data, path)
@@ -236,10 +246,10 @@ class TestSaveLoad:
 class TestThreads:
     def test_each_thread_nests_from_root(self):
         prof = profile.Profiler()
-        with profile.profiling(prof):
+        with obs.profiling(prof):
             def work(name):
-                with profile.span(name):
-                    with profile.span("inner"):
+                with obs.span(name):
+                    with obs.span("inner"):
                         pass
 
             threads = [
@@ -279,7 +289,7 @@ class TestRunnerIntegration:
                 ],
             }
         )
-        with profile.profiling() as prof:
+        with obs.profiling() as prof:
             report = run_plan(
                 plan,
                 config=SupervisorConfig(max_retries=0, backoff_base_s=0.0),
@@ -316,7 +326,7 @@ class TestRunnerIntegration:
         )
         report = runner.run_portable(jobs, plan_key="plain")
         assert report.counts() == {"ok": 3, "failed": 0}
-        assert profile.get_profiler().as_dict()["nodes"] == []
+        assert obs.current()[1] is None
 
     def test_byte_identical_schedule_with_profiling(self):
         trace = build_trace("spmspv", "P1", scale=0.15)
@@ -326,6 +336,43 @@ class TestRunnerIntegration:
             model=model, machine=TransmuterModel(), mode=mode
         )
         plain = controller.run(trace).summary()
-        with profile.profiling():
+        with obs.profiling():
             profiled = controller.run(trace).summary()
         assert profiled == plain
+
+
+class TestOneSpanBothSinks:
+    """``obs.span`` feeds the trace recorder and the profiler at once."""
+
+    def test_nested_span_yields_one_record_and_one_profile_path(self):
+        with obs.recording() as recorder, obs.profiling() as prof:
+            with obs.span("outer", a=1):
+                with obs.span("inner", b=2) as region:
+                    region.set(c=3)
+        spans = [r for r in recorder.sink.records() if r["type"] == "span"]
+        assert [(r["name"], r["attrs"]) for r in spans] == [
+            ("inner", {"b": 2, "c": 3}),
+            ("outer", {"a": 1}),
+        ]
+        nodes = {tuple(n["path"]): n for n in prof.as_dict()["nodes"]}
+        assert nodes[("outer",)]["calls"] == 1
+        assert nodes[("outer", "inner")]["calls"] == 1
+        # One clock: the record's duration is the profiled time.
+        assert spans[0]["dur_s"] == round(
+            nodes[("outer", "inner")]["cum_s"], 9
+        )
+
+    def test_file_sink_emission_does_not_recurse(self, tmp_path):
+        from repro.obs.sinks import read_jsonl
+
+        path = tmp_path / "trace.jsonl"
+        with obs.profiling() as prof:
+            with obs.recording(path):
+                with obs.span("work"):
+                    pass
+        # sink_io times each hand-off to the file (header + work) for
+        # the profiler only: it is never itself a trace record.
+        assert [r["name"] for r in read_jsonl(path)] == ["trace", "work"]
+        components = profile.component_breakdown(prof.as_dict())
+        assert components["sink_io"]["calls"] == 2
+        assert components["work"]["calls"] == 1

@@ -12,6 +12,7 @@ from repro.obs.trace import (
     get_recorder,
     install,
     recording,
+    span,
 )
 
 
@@ -28,14 +29,21 @@ class TestDisabledFastPath:
 
     def test_disabled_event_and_span_emit_nothing(self):
         recorder = TraceRecorder()
-        recorder.event("x", a=1)
-        with recorder.span("y", b=2) as span:
-            span.set(c=3)
+        previous, _ = install(recorder)
+        try:
+            recorder.event("x", a=1)
+            with span("y", b=2) as region:
+                region.set(c=3)
+        finally:
+            install(previous)
         assert recorder.n_emitted == 0
 
     def test_disabled_span_is_shared_noop(self):
-        recorder = TraceRecorder()
-        assert recorder.span("a") is recorder.span("b")
+        previous, _ = install(TraceRecorder())
+        try:
+            assert span("a") is span("b")
+        finally:
+            install(previous)
 
 
 class TestRecorder:
@@ -62,9 +70,9 @@ class TestRecorder:
 
     def test_span_times_and_collects_attrs(self):
         sink = MemorySink()
-        recorder = TraceRecorder(sink)
-        with recorder.span("epoch", epoch=0) as span:
-            span.set(config="cfg", time_s=1e-6)
+        with recording(sink):
+            with span("epoch", epoch=0) as region:
+                region.set(config="cfg", time_s=1e-6)
         (record,) = _payload(sink.records())
         assert record["type"] == "span"
         assert record["dur_s"] >= 0.0
@@ -106,11 +114,10 @@ class TestFileSink:
     def test_jsonl_roundtrip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         sink = FileSink(path)
-        recorder = TraceRecorder(sink)
-        recorder.event("start", noise_seed=7)
-        with recorder.span("epoch", epoch=0) as span:
-            span.set(gflops=1.25)
-        recorder.close()
+        with recording(sink) as recorder:
+            recorder.event("start", noise_seed=7)
+            with span("epoch", epoch=0) as region:
+                region.set(gflops=1.25)
         records = _payload(read_jsonl(path))
         assert len(records) == 2
         assert records[0]["name"] == "start"
@@ -192,8 +199,8 @@ class TestInstallAndRecording:
         try:
             assert get_recorder() is recorder
         finally:
-            install(previous)
-        assert get_recorder() is previous
+            install(*previous)
+        assert get_recorder() is previous[0]
 
     def test_recording_with_path(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -215,3 +222,70 @@ class TestInstallAndRecording:
             with obs.recording(None):
                 raise RuntimeError("boom")
         assert get_recorder().enabled is False
+
+
+class TestSchemaTwoTraces:
+    """Traces written before component spans were trace records
+    (schema 2, ``harness.build_trace``) still load in every reader."""
+
+    @pytest.fixture(scope="class")
+    def schema2_path(self, tmp_path_factory):
+        from repro.core.controller import SparseAdaptController
+        from repro.core.modes import OptimizationMode
+        from repro.core.training import train_default_model
+        from repro.experiments.harness import build_trace
+        from repro.obs.sinks import write_jsonl
+        from repro.transmuter.machine import TransmuterModel
+
+        trace = build_trace("spmspv", "P1", scale=0.15)
+        mode = OptimizationMode.ENERGY_EFFICIENT
+        controller = SparseAdaptController(
+            model=train_default_model(mode, kernel="spmspv"),
+            machine=TransmuterModel(),
+            mode=mode,
+        )
+        with recording() as recorder:
+            controller.run(trace)
+        records = [
+            r
+            for r in recorder.sink.records()
+            if r["type"] != "span" or r["name"] == "epoch"
+        ]
+        records[0]["attrs"]["schema_version"] = 2
+        records.insert(
+            1,
+            {
+                "seq": 0,
+                "ts": 0.0,
+                "type": "span",
+                "name": "harness.build_trace",
+                "dur_s": 0.01,
+                "attrs": {
+                    "kernel": "spmspv",
+                    "matrix": "P1",
+                    "scale": 0.15,
+                    "n_epochs": trace.n_epochs,
+                },
+            },
+        )
+        path = tmp_path_factory.mktemp("schema2") / "v2.jsonl"
+        write_jsonl(records, path)
+        return path
+
+    def test_trace_report(self, schema2_path, capsys):
+        from repro.cli import main
+
+        assert main(["trace-report", str(schema2_path)]) == 0
+        assert "epoch timeline" in capsys.readouterr().out
+
+    def test_diff(self, schema2_path, capsys):
+        from repro.cli import main
+
+        assert main(["diff", str(schema2_path), str(schema2_path)]) == 0
+        assert "configurations identical" in capsys.readouterr().out
+
+    def test_explain(self, schema2_path, capsys):
+        from repro.cli import main
+
+        assert main(["explain", str(schema2_path)]) == 0
+        assert "leaf predicts" in capsys.readouterr().out
