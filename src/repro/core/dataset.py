@@ -25,8 +25,9 @@ traced by the real kernels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,12 +39,16 @@ from repro.kernels.spmspm import trace_spmspm
 from repro.kernels.spmspv import trace_spmspv
 from repro.sparse import generators
 from repro.transmuter.config import (
+    CAPACITIES_KB,
+    CLOCKS_MHZ,
+    PREFETCH_LEVELS,
     RUNTIME_PARAMETERS,
+    SHARING_MODES,
     HardwareConfig,
     neighbors,
     sample_configs,
 )
-from repro.transmuter.machine import TransmuterModel
+from repro.transmuter.machine import EpochResult, TransmuterModel
 from repro.transmuter.workload import EpochWorkload
 
 __all__ = [
@@ -104,44 +109,104 @@ def _epoch_metric(
     )
 
 
-def _batch_results(
-    machine: TransmuterModel,
-    workload: EpochWorkload,
-    configs: Sequence[HardwareConfig],
-) -> List:
-    """Simulate one workload under many configs, batched when allowed."""
-    from repro import fastpath
-
-    if len(configs) > 1 and fastpath.enabled():
-        from repro.fastpath.epochs import simulate_configs
-
-        return simulate_configs(machine, workload, list(configs))
-    return [machine.simulate_epoch(workload, cfg) for cfg in configs]
-
-
-def _argbest(
+def _scores(
     machine: TransmuterModel,
     workload: EpochWorkload,
     configs: Sequence[HardwareConfig],
     mode: OptimizationMode,
-) -> HardwareConfig:
-    """First configuration with the strictly greatest metric.
+) -> Tuple[List[float], Callable[[int], EpochResult]]:
+    """The mode's metric of one workload under each config.
+
+    Simulates as one batch when the fast path allows and scores from
+    the epoch times and energies alone. Also returns ``result(j)``,
+    which materializes config ``j``'s :class:`EpochResult` (for its
+    counters).
+    """
+    from repro import fastpath
+
+    if len(configs) > 1 and fastpath.enabled():
+        from repro.fastpath.epochs import EpochGrid
+
+        grid = EpochGrid(machine, [workload], configs)
+        times = grid.times[0].tolist()
+        energies = grid.energies[0].tolist()
+        result = functools.partial(grid.result, 0)
+    else:
+        results = [machine.simulate_epoch(workload, cfg) for cfg in configs]
+        times = [r.time_s for r in results]
+        energies = [r.energy_j for r in results]
+        result = results.__getitem__
+    flops = max(workload.flops, 1.0)
+    scores = [
+        metric_value(mode, flops, time_s, energy_j)
+        for time_s, energy_j in zip(times, energies)
+    ]
+    return scores, result
+
+
+def _argbest(scores: Sequence[float]) -> int:
+    """Index of the first strictly greatest score.
 
     Mirrors ``max(configs, key=...)``: on ties the earliest candidate
     wins, so batched and scalar searches pick the same configuration.
     """
-    results = _batch_results(machine, workload, configs)
-    flops = max(workload.flops, 1.0)
-    best = configs[0]
-    best_score = metric_value(
-        mode, flops, results[0].time_s, results[0].energy_j
-    )
-    for config, result in zip(configs[1:], results[1:]):
-        score = metric_value(mode, flops, result.time_s, result.energy_j)
-        if score > best_score:
-            best_score = score
-            best = config
+    best = 0
+    for j in range(1, len(scores)):
+        if scores[j] > scores[best]:
+            best = j
     return best
+
+
+#: Step-3 sweep values of every runtime parameter.
+_SWEEP_VALUES: Dict[str, Sequence] = {
+    "l1_sharing": SHARING_MODES,
+    "l2_sharing": SHARING_MODES,
+    "l1_kb": CAPACITIES_KB,
+    "l2_kb": CAPACITIES_KB,
+    "clock_mhz": CLOCKS_MHZ,
+    "prefetch": PREFETCH_LEVELS,
+}
+
+
+def _search(
+    machine: TransmuterModel,
+    workload: EpochWorkload,
+    mode: OptimizationMode,
+    samples: Sequence[HardwareConfig],
+) -> Tuple[HardwareConfig, Callable[[int], EpochResult]]:
+    """The three Figure-4a steps from a given step-1 sample.
+
+    Returns the best configuration and the step-1 result accessor, so
+    training reads each sample's counters without re-simulating it.
+    """
+    l1_type = samples[0].l1_type
+    scores, sampled = _scores(machine, workload, samples, mode)
+    best = samples[_argbest(scores)]
+    # Step 2: one-step neighbourhood.
+    candidates = [best] + neighbors(best)
+    scores, _ = _scores(machine, workload, candidates, mode)
+    best = candidates[_argbest(scores)]
+    # Step 3: independent dimension sweeps from the neighbourhood optimum.
+    # The sweeps are independent by construction, so all candidates
+    # across all parameters are simulated as one batch.
+    swept = [
+        parameter
+        for parameter in RUNTIME_PARAMETERS
+        if not (l1_type == "spm" and parameter == "l1_kb")
+    ]
+    sweep = [
+        best.with_value(parameter, value)
+        for parameter in swept
+        for value in _SWEEP_VALUES[parameter]
+    ]
+    scores, _ = _scores(machine, workload, sweep, mode)
+    chosen = {"l1_kb": best.l1_kb}
+    start = 0
+    for parameter in swept:
+        values = _SWEEP_VALUES[parameter]
+        chosen[parameter] = values[_argbest(scores[start : start + len(values)])]
+        start += len(values)
+    return HardwareConfig(l1_type=l1_type, **chosen), sampled
 
 
 def find_best_config(
@@ -154,51 +219,7 @@ def find_best_config(
 ) -> HardwareConfig:
     """Three-step best-configuration search of Figure 4a."""
     samples = sample_configs(k_samples, l1_type=l1_type, seed=seed)
-    best = _argbest(machine, workload, samples, mode)
-    # Step 2: one-step neighbourhood.
-    candidates = [best] + neighbors(best)
-    best = _argbest(machine, workload, candidates, mode)
-    # Step 3: independent dimension sweeps from the neighbourhood optimum.
-    from repro.transmuter import config as config_space
-
-    values_by_parameter = {
-        "l1_sharing": config_space.SHARING_MODES,
-        "l2_sharing": config_space.SHARING_MODES,
-        "l1_kb": config_space.CAPACITIES_KB,
-        "l2_kb": config_space.CAPACITIES_KB,
-        "clock_mhz": config_space.CLOCKS_MHZ,
-        "prefetch": config_space.PREFETCH_LEVELS,
-    }
-    # The sweeps are independent by construction, so all candidates
-    # across all parameters can be simulated as one batch.
-    sweep: List[tuple] = []
-    for parameter in RUNTIME_PARAMETERS:
-        if l1_type == "spm" and parameter == "l1_kb":
-            continue
-        for value in values_by_parameter[parameter]:
-            sweep.append((parameter, value, best.with_value(parameter, value)))
-    results = _batch_results(machine, workload, [c for _, _, c in sweep])
-    flops = max(workload.flops, 1.0)
-    scores = {
-        (parameter, value): metric_value(
-            mode, flops, result.time_s, result.energy_j
-        )
-        for (parameter, value, _), result in zip(sweep, results)
-    }
-    chosen = {}
-    for parameter in RUNTIME_PARAMETERS:
-        if l1_type == "spm" and parameter == "l1_kb":
-            chosen[parameter] = best.l1_kb
-            continue
-        best_value = None
-        best_score = -np.inf
-        for value in values_by_parameter[parameter]:
-            score = scores[(parameter, value)]
-            if score > best_score:
-                best_score = score
-                best_value = value
-        chosen[parameter] = best_value
-    return HardwareConfig(l1_type=l1_type, **chosen)
+    return _search(machine, workload, mode, samples)[0]
 
 
 def representative_epochs(
@@ -298,23 +319,14 @@ def build_training_set(
     label_rows: Dict[str, List] = {name: [] for name in RUNTIME_PARAMETERS}
     for phase in phases:
         phase_seed = int(rng.integers(0, 2**31 - 1))
-        best = find_best_config(
-            phase.machine,
-            phase.workload,
-            mode,
-            l1_type=phase.l1_type,
-            k_samples=k_samples,
-            seed=phase_seed,
-        )
         samples = sample_configs(
             k_samples, l1_type=phase.l1_type, seed=phase_seed
         )
-        for config, result in zip(
-            samples, _batch_results(phase.machine, phase.workload, samples)
-        ):
-            feature_rows.append(build_features(result.counters, config))
-            for name in RUNTIME_PARAMETERS:
-                label_rows[name].append(best.get(name))
+        best, sampled = _search(phase.machine, phase.workload, mode, samples)
+        for j, config in enumerate(samples):
+            feature_rows.append(build_features(sampled(j).counters, config))
+        for name in RUNTIME_PARAMETERS:
+            label_rows[name].extend([best.get(name)] * len(samples))
     return TrainingSet(
         features=np.vstack(feature_rows),
         labels={

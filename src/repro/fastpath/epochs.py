@@ -58,7 +58,7 @@ from repro.transmuter.machine import EpochResult, TransmuterModel
 from repro.transmuter.power import EnergyBreakdown, _sram_access_energy
 from repro.transmuter.workload import EpochWorkload
 
-__all__ = ["pow_exact", "EpochGrid", "simulate_configs", "simulate_trace"]
+__all__ = ["pow_exact", "EpochGrid", "simulate_trace"]
 
 # CPython's float.__pow__ applied elementwise (object ufunc). numpy's
 # own pow uses a SIMD implementation whose results differ in the last
@@ -656,16 +656,6 @@ class EpochGrid:
 
 
 # ---------------------------------------------------------------------------
-def simulate_configs(
-    machine: TransmuterModel,
-    workload: EpochWorkload,
-    configs: Sequence[HardwareConfig],
-) -> List[EpochResult]:
-    """One workload under many configurations (training-set search)."""
-    grid = EpochGrid(machine, [workload], configs)
-    return [grid.result(0, j) for j in range(grid.n_configs)]
-
-
 def simulate_trace(
     machine: TransmuterModel,
     workloads: Sequence[EpochWorkload],

@@ -15,6 +15,8 @@ measured, not assumed.
 
 from __future__ import annotations
 
+import inspect
+import itertools
 from typing import Optional
 
 import numpy as np
@@ -33,6 +35,9 @@ _ELEMENT_BYTES = 12.0
 #: Streaming fraction of the column fetch (values + indices).
 _COLUMN_STRIDE = 0.85
 
+#: ``EpochAccumulator.add``'s parameter names in positional order.
+_ADD_PARAMETERS = tuple(inspect.signature(EpochAccumulator.add).parameters)[1:]
+
 
 def trace_spmspv(
     a_csc: CSCMatrix,
@@ -50,79 +55,103 @@ def trace_spmspv(
             f"dimension mismatch: {a_csc.shape} @ vector({x.length})"
         )
     n_rows = a_csc.shape[0]
-    accumulator_touched = np.zeros(n_rows, dtype=bool)
-    touched_count = 0
     accumulator = EpochAccumulator(PHASE_SPMSPV, epoch_fp_ops)
 
     # Words per cache line: accumulator updates whose row gaps stay
     # within a line behave like streaming; larger gaps are true gathers.
     words_per_line = params.CACHE_LINE_BYTES // params.WORD_BYTES
 
-    for j in x.indices:
-        rows, _values = a_csc.col(int(j))
-        a_nnz = int(rows.size)
-        if a_nnz == 0:
-            continue
-        new_mask = ~accumulator_touched[rows]
-        new_touches = int(np.count_nonzero(new_mask))
-        accumulator_touched[rows] = True
-        touched_count += new_touches
+    # Column tasks in x order; empty columns do no work.
+    starts = a_csc.indptr[x.indices]
+    a_nnz = a_csc.indptr[x.indices + 1] - starts
+    busy = a_nnz > 0
+    starts, a_nnz = starts[busy], a_nnz[busy]
+    n_tasks = a_nnz.size
+    # The concatenated row stream of all tasks, and each entry's task.
+    task_of = np.repeat(np.arange(n_tasks), a_nnz)
+    offsets = np.cumsum(a_nnz) - a_nnz
+    rows = a_csc.indices[
+        np.repeat(starts - offsets, a_nnz) + np.arange(task_of.size)
+    ]
 
-        # Spatial locality of the accumulator scatter: the fraction of
-        # consecutive row gaps that stay within one cache line.
-        # Diagonal-local matrices (R09) score high; power-law columns
-        # whose entries span the whole accumulator score low.
-        if a_nnz > 1:
-            gaps = np.diff(rows)  # CSC row indices are sorted
-            accumulator_locality = float(np.mean(gaps <= words_per_line))
-        else:
-            accumulator_locality = 1.0
+    # An entry first touches its accumulator row when no earlier task
+    # touched that row.
+    first_task = np.full(n_rows, n_tasks, dtype=np.int64)
+    np.minimum.at(first_task, rows, task_of)
+    first_touch = first_task[rows] == task_of
+    new_touches = np.bincount(
+        task_of, weights=first_touch, minlength=n_tasks
+    ).astype(np.int64)
+    touched_count = np.cumsum(new_touches)
 
-        flops = 2.0 * a_nnz  # multiply + accumulate per stored element
-        fp_loads = 2.0 * a_nnz + 1.0  # column values + accumulator reads + x_j
-        fp_stores = float(a_nnz)  # accumulator writes
-        int_ops = 3.0 * a_nnz  # row indices + accumulator addressing
-        loads = 3.0 * a_nnz + 1.0  # values, indices, accumulator
-        stores = float(a_nnz)
-        unique_words = 2.0 * a_nnz + new_touches
-        unique_lines = max(
-            1.0,
-            (
-                _ELEMENT_BYTES * a_nnz
-                + params.WORD_BYTES * new_touches / max(accumulator_locality, 0.125)
-            )
-            / params.CACHE_LINE_BYTES,
+    # Spatial locality of the accumulator scatter: the fraction of
+    # consecutive row gaps that stay within one cache line.
+    # Diagonal-local matrices (R09) score high; power-law columns
+    # whose entries span the whole accumulator score low.
+    within_task = task_of[1:] == task_of[:-1]
+    # CSC row indices are sorted, so gaps are non-negative.
+    local_gaps = np.bincount(
+        task_of[1:][within_task],
+        weights=np.diff(rows)[within_task] <= words_per_line,
+        minlength=n_tasks,
+    )
+    accumulator_locality = np.ones(n_tasks)
+    multi = a_nnz > 1
+    accumulator_locality[multi] = local_gaps[multi] / (a_nnz[multi] - 1)
+
+    flops = 2.0 * a_nnz  # multiply + accumulate per stored element
+    fp_loads = 2.0 * a_nnz + 1.0  # column values + accumulator reads + x_j
+    fp_stores = a_nnz.astype(np.float64)  # accumulator writes
+    int_ops = 3.0 * a_nnz  # row indices + accumulator addressing
+    loads = 3.0 * a_nnz + 1.0  # values, indices, accumulator
+    unique_words = 2.0 * a_nnz + new_touches
+    unique_lines = np.maximum(
+        1.0,
+        (
+            _ELEMENT_BYTES * a_nnz
+            + params.WORD_BYTES
+            * new_touches
+            / np.maximum(accumulator_locality, 0.125)
         )
-        column_accesses = 2.0 * a_nnz
-        accumulator_accesses = 2.0 * a_nnz
-        stride = (
-            column_accesses * _COLUMN_STRIDE
-            + accumulator_accesses * accumulator_locality
-        ) / (column_accesses + accumulator_accesses)
-        # The output vector is row-partitioned across GPEs, and each
-        # GPE reads only the column entries landing in its slice, so
-        # both the accumulator and the matrix data are effectively
-        # private; only x values and index metadata are shared.
-        shared = 0.15
-        accumulator.add(
-            flops=flops,
-            fp_loads=fp_loads,
-            fp_stores=fp_stores,
-            int_ops=int_ops,
-            loads=loads,
-            stores=stores,
-            unique_words=unique_words,
-            unique_lines=unique_lines,
-            stride_fraction=float(np.clip(stride, 0.0, 1.0)),
-            shared_fraction=shared,
-            read_bytes=_ELEMENT_BYTES * a_nnz + _ELEMENT_BYTES,
-            write_bytes=_ELEMENT_BYTES * new_touches,
-            resident_bytes=(
-                touched_count * params.WORD_BYTES
-                + _ELEMENT_BYTES * a_nnz
-            ),
-            reuse_locality=accumulator_locality,
-        )
+        / params.CACHE_LINE_BYTES,
+    )
+    column_accesses = 2.0 * a_nnz
+    accumulator_accesses = 2.0 * a_nnz
+    stride = (
+        column_accesses * _COLUMN_STRIDE
+        + accumulator_accesses * accumulator_locality
+    ) / (column_accesses + accumulator_accesses)
+    read_bytes = _ELEMENT_BYTES * a_nnz + _ELEMENT_BYTES
+    write_bytes = _ELEMENT_BYTES * new_touches
+    resident_bytes = (
+        touched_count * params.WORD_BYTES + _ELEMENT_BYTES * a_nnz
+    )
+    # The output vector is row-partitioned across GPEs, and each
+    # GPE reads only the column entries landing in its slice, so
+    # both the accumulator and the matrix data are effectively
+    # private; only x values and index metadata are shared.
+    shared = 0.15
+    columns = {
+        "flops": flops.tolist(),
+        "fp_loads": fp_loads.tolist(),
+        "fp_stores": fp_stores.tolist(),
+        "int_ops": int_ops.tolist(),
+        "loads": loads.tolist(),
+        "stores": fp_stores.tolist(),  # one per accumulator write
+        "unique_words": unique_words.tolist(),
+        "unique_lines": unique_lines.tolist(),
+        "stride_fraction": np.clip(stride, 0.0, 1.0).tolist(),
+        "shared_fraction": itertools.repeat(shared),
+        "read_bytes": read_bytes.tolist(),
+        "write_bytes": write_bytes.tolist(),
+        "resident_bytes": resident_bytes.tolist(),
+        "reuse_locality": accumulator_locality.tolist(),
+    }
+    # The epoch accumulator sums in task order, one task at a time.
+    # Columns are matched to ``add``'s parameters by name, so a renamed
+    # or added parameter raises KeyError instead of shifting values.
+    for task in zip(*(columns[name] for name in _ADD_PARAMETERS)):
+        accumulator.add(*task)
 
     epochs = accumulator.finish()
     return KernelTrace(
@@ -131,6 +160,6 @@ def trace_spmspv(
         info={
             "a_nnz": float(a_csc.nnz),
             "x_nnz": float(x.nnz),
-            "y_nnz": float(np.count_nonzero(accumulator_touched)),
+            "y_nnz": float(np.count_nonzero(first_task < n_tasks)),
         },
     )

@@ -114,7 +114,16 @@ class _BaseTree:
     def _node_value(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _best_split(self, x_col, y, order):
+    def _split_gains(
+        self, y_sorted: np.ndarray, rows: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """Impurity decrease of a batch of candidate splits.
+
+        ``y_sorted`` holds the node's targets once per candidate feature,
+        each row ordered by that feature (shape ``(features, n)``).
+        Candidate ``k`` splits row ``rows[k]`` at ``positions[k]``: the
+        first ``positions[k]`` samples go left.
+        """
         raise NotImplementedError
 
     # -- fitting ---------------------------------------------------------
@@ -139,7 +148,15 @@ class _BaseTree:
         self._importance_raw = np.zeros(self.n_features_)
         rng = np.random.default_rng(self.random_state)
         indices = np.arange(features.shape[0])
-        self.root_ = self._build(features, encoded, indices, depth=0, rng=rng)
+        # Presort once: row ``f`` lists the sample ids in stable order of
+        # feature ``f``. Children inherit it by stable partition, which
+        # equals a stable argsort of each child's (ascending) id subset.
+        presorted = np.ascontiguousarray(
+            np.argsort(features, axis=0, kind="stable").T
+        )
+        self.root_ = self._build(
+            features, encoded, indices, presorted, depth=0, rng=rng
+        )
         if self.ccp_alpha > 0.0:
             self._prune(self.root_)
         total = self._importance_raw.sum()
@@ -153,6 +170,7 @@ class _BaseTree:
         features: np.ndarray,
         encoded: np.ndarray,
         indices: np.ndarray,
+        presorted: np.ndarray,
         depth: int,
         rng: np.random.Generator,
     ) -> TreeNode:
@@ -176,18 +194,9 @@ class _BaseTree:
                 self.n_features_, size=self.max_features, replace=False
             )
 
-        best_gain = 0.0
-        best_feature = -1
-        best_threshold = 0.0
-        for feat in candidate_features:
-            x_col = features[indices, feat]
-            order = np.argsort(x_col, kind="stable")
-            gain, threshold = self._best_split(x_col, y_node, order)
-            if gain > best_gain + 1e-15:
-                best_gain = gain
-                best_feature = int(feat)
-                best_threshold = threshold
-
+        best_feature, best_gain, best_threshold = self._find_split(
+            features, encoded, presorted, candidate_features
+        )
         if best_feature < 0:
             return node
 
@@ -203,9 +212,72 @@ class _BaseTree:
         node.feature = best_feature
         node.threshold = best_threshold
         self._importance_raw[best_feature] += best_gain * indices.size
-        node.left = self._build(features, encoded, left_idx, depth + 1, rng)
-        node.right = self._build(features, encoded, right_idx, depth + 1, rng)
+        in_left = np.zeros(features.shape[0], dtype=bool)
+        in_left[left_idx] = True
+        keep_left = in_left[presorted]
+        n_features = presorted.shape[0]
+        node.left = self._build(
+            features,
+            encoded,
+            left_idx,
+            presorted[keep_left].reshape(n_features, -1),
+            depth + 1,
+            rng,
+        )
+        node.right = self._build(
+            features,
+            encoded,
+            right_idx,
+            presorted[~keep_left].reshape(n_features, -1),
+            depth + 1,
+            rng,
+        )
         return node
+
+    def _find_split(
+        self,
+        features: np.ndarray,
+        encoded: np.ndarray,
+        presorted: np.ndarray,
+        candidates: np.ndarray,
+    ):
+        """Best ``(feature, gain, threshold)`` over all candidate features.
+
+        One 2-D pass scores every split position of every candidate.
+        Candidate split positions lie between distinct consecutive
+        values and honour ``min_samples_leaf`` on both sides; each
+        feature keeps its first maximal position, and a feature replaces
+        the incumbent (in ``candidates`` order) only by a gain larger by
+        more than 1e-15. Returns feature ``-1`` when nothing gains.
+        """
+        n = presorted.shape[1]
+        lo = self.min_samples_leaf
+        hi = n - self.min_samples_leaf
+        if hi < lo:
+            return -1, 0.0, 0.0
+        rows = presorted[candidates]
+        x_sorted = features[rows, candidates[:, None]]
+        distinct = x_sorted[:, lo : hi + 1] > x_sorted[:, lo - 1 : hi] + 1e-15
+        feature_rows, columns = np.nonzero(distinct)
+        if feature_rows.size == 0:
+            return -1, 0.0, 0.0
+        gains = np.full(distinct.shape, -np.inf)
+        gains[feature_rows, columns] = self._split_gains(
+            encoded[rows], feature_rows, columns + lo
+        )
+        best_positions = np.argmax(gains, axis=1)
+        per_feature = gains[np.arange(candidates.size), best_positions]
+        best_gain = 0.0
+        best = -1
+        for k, gain in enumerate(per_feature.tolist()):
+            if gain > best_gain + 1e-15:
+                best_gain = gain
+                best = k
+        if best < 0:
+            return -1, 0.0, 0.0
+        pos = lo + best_positions[best]
+        threshold = 0.5 * (x_sorted[best, pos - 1] + x_sorted[best, pos])
+        return int(candidates[best]), best_gain, float(threshold)
 
     # -- pruning ----------------------------------------------------------
     def _prune(self, node: TreeNode) -> None:
@@ -386,30 +458,20 @@ class DecisionTreeClassifier(_BaseTree):
             return np.full(self._n_classes, 1.0 / self._n_classes)
         return counts / total
 
-    def _best_split(self, x_col, y, order):
-        """Best threshold on one feature via class-count prefix sums."""
-        x_sorted = x_col[order]
-        y_sorted = y[order]
-        n = y_sorted.size
-        one_hot = np.zeros((n, self._n_classes))
-        one_hot[np.arange(n), y_sorted] = 1.0
-        prefix = np.cumsum(one_hot, axis=0)
-        total = prefix[-1]
+    def _split_gains(self, y_sorted, rows, positions):
+        """Gains from class-count prefix sums."""
+        n = y_sorted.shape[1]
+        # Flat index of the last sample left of each split.
+        last_left = rows * n + positions - 1
+        left_counts = np.empty((rows.size, self._n_classes))
+        for label in range(self._n_classes):
+            # Counts are exact small integers; int32 sums fastest.
+            prefix = np.cumsum(y_sorted == label, axis=1, dtype=np.int32)
+            left_counts[:, label] = prefix.ravel()[last_left]
+        total = np.bincount(y_sorted[0], minlength=self._n_classes).astype(
+            np.float64
+        )
         parent_impurity = self._impurity_from_counts(total)
-
-        # Candidate split positions: between distinct consecutive x values,
-        # honoring min_samples_leaf on both sides.
-        lo = self.min_samples_leaf
-        hi = n - self.min_samples_leaf
-        if hi < lo:
-            return 0.0, 0.0
-        positions = np.arange(lo, hi + 1)
-        distinct = x_sorted[positions] > x_sorted[positions - 1] + 1e-15
-        positions = positions[distinct]
-        if positions.size == 0:
-            return 0.0, 0.0
-
-        left_counts = prefix[positions - 1]
         right_counts = total - left_counts
         n_left = positions.astype(np.float64)
         n_right = n - n_left
@@ -426,13 +488,7 @@ class DecisionTreeClassifier(_BaseTree):
             n_left * batch_impurity(left_counts, n_left)
             + n_right * batch_impurity(right_counts, n_right)
         ) / n
-        gains = parent_impurity - weighted
-        best = int(np.argmax(gains))
-        if gains[best] <= 0:
-            return 0.0, 0.0
-        pos = positions[best]
-        threshold = 0.5 * (x_sorted[pos - 1] + x_sorted[pos])
-        return float(gains[best]), float(threshold)
+        return parent_impurity - weighted
 
     # -- public API -----------------------------------------------------------
     def fit(self, features, labels) -> "DecisionTreeClassifier":
@@ -493,41 +549,29 @@ class DecisionTreeRegressor(_BaseTree):
     def _node_value(self, y: np.ndarray) -> np.ndarray:
         return np.array([float(np.mean(y))]) if y.size else np.zeros(1)
 
-    def _best_split(self, x_col, y, order):
-        x_sorted = x_col[order]
-        y_sorted = y[order].astype(np.float64)
-        n = y_sorted.size
-        prefix = np.cumsum(y_sorted)
-        prefix_sq = np.cumsum(y_sorted * y_sorted)
-        total, total_sq = prefix[-1], prefix_sq[-1]
-        parent = total_sq / n - (total / n) ** 2
-
-        lo = self.min_samples_leaf
-        hi = n - self.min_samples_leaf
-        if hi < lo:
-            return 0.0, 0.0
-        positions = np.arange(lo, hi + 1)
-        distinct = x_sorted[positions] > x_sorted[positions - 1] + 1e-15
-        positions = positions[distinct]
-        if positions.size == 0:
-            return 0.0, 0.0
+    def _split_gains(self, y_sorted, rows, positions):
+        """Gains from running sums and sums of squares."""
+        n = y_sorted.shape[1]
+        prefix = np.cumsum(y_sorted, axis=1)
+        prefix_sq = np.cumsum(y_sorted * y_sorted, axis=1)
+        total, total_sq = prefix[:, -1], prefix_sq[:, -1]
+        # The running sums follow each feature's own sample order, so
+        # every feature has its own parent variance, computed in numpy
+        # scalars as a one-feature scan computes it.
+        parent = np.array(
+            [t_sq / n - (t / n) ** 2 for t, t_sq in zip(total, total_sq)]
+        )
 
         n_left = positions.astype(np.float64)
         n_right = n - n_left
-        sum_left = prefix[positions - 1]
-        sq_left = prefix_sq[positions - 1]
+        sum_left = prefix[rows, positions - 1]
+        sq_left = prefix_sq[rows, positions - 1]
         var_left = sq_left / n_left - (sum_left / n_left) ** 2
-        sum_right = total - sum_left
-        sq_right = total_sq - sq_left
+        sum_right = total[rows] - sum_left
+        sq_right = total_sq[rows] - sq_left
         var_right = sq_right / n_right - (sum_right / n_right) ** 2
         weighted = (n_left * var_left + n_right * var_right) / n
-        gains = parent - weighted
-        best = int(np.argmax(gains))
-        if gains[best] <= 0:
-            return 0.0, 0.0
-        pos = positions[best]
-        threshold = 0.5 * (x_sorted[pos - 1] + x_sorted[pos])
-        return float(gains[best]), float(threshold)
+        return parent[rows] - weighted
 
     def fit(self, features, targets) -> "DecisionTreeRegressor":
         """Fit the tree on continuous targets."""

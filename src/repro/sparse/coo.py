@@ -108,6 +108,30 @@ class COOMatrix:
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
+    def _merge(self, major: np.ndarray, minor: np.ndarray, n_minor: int):
+        """Distinct coordinates in major-then-minor order, duplicates summed.
+
+        Returns ``(kept, summed)``: ``kept`` indexes the first stored
+        entry of each distinct coordinate, ``summed`` its total. A
+        stable argsort keeps duplicates in input order, so every group
+        sums left to right. Distinct keys sort alike under any algorithm,
+        so the stable (several times slower) sort runs only when
+        duplicates exist.
+        """
+        keys = major * n_minor + minor
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        if not first.all():
+            order = np.argsort(keys, kind="stable")
+        summed = np.bincount(
+            np.cumsum(first) - 1,
+            weights=self.vals[order],
+            minlength=int(np.count_nonzero(first)),
+        )
+        return order[first], summed
+
     def sum_duplicates(self) -> "COOMatrix":
         """Return an equivalent matrix with duplicate coordinates summed.
 
@@ -116,23 +140,8 @@ class COOMatrix:
         """
         if self.nnz == 0:
             return self
-        keys = self.rows * self.shape[1] + self.cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        vals = self.vals[order]
-        unique_mask = np.empty(keys.size, dtype=bool)
-        unique_mask[0] = True
-        unique_mask[1:] = keys[1:] != keys[:-1]
-        group_ids = np.cumsum(unique_mask) - 1
-        summed = np.zeros(int(group_ids[-1]) + 1)
-        np.add.at(summed, group_ids, vals)
-        unique_keys = keys[unique_mask]
-        return COOMatrix(
-            unique_keys // self.shape[1],
-            unique_keys % self.shape[1],
-            summed,
-            self.shape,
-        )
+        kept, summed = self._merge(self.rows, self.cols, self.shape[1])
+        return COOMatrix(self.rows[kept], self.cols[kept], summed, self.shape)
 
     def prune(self, tolerance: float = 0.0) -> "COOMatrix":
         """Drop stored entries whose magnitude is <= ``tolerance``."""
@@ -159,28 +168,27 @@ class COOMatrix:
         np.add.at(dense, (self.rows, self.cols), self.vals)
         return dense
 
+    def _compressed(self, major, minor, n_major: int, n_minor: int):
+        """``(indptr, minor indices, values)`` grouped by ``major``."""
+        kept, summed = self._merge(major, minor, n_minor)
+        indptr = np.zeros(n_major + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum(np.bincount(major[kept], minlength=n_major))
+        return indptr, minor[kept], summed
+
     def to_csr(self):
         """Convert to :class:`repro.sparse.csr.CSRMatrix`."""
         from repro.sparse.csr import CSRMatrix
 
-        merged = self.sum_duplicates()
-        order = np.lexsort((merged.cols, merged.rows))
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-        np.add.at(indptr, merged.rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return CSRMatrix(
-            indptr, merged.cols[order], merged.vals[order], self.shape
+        indptr, cols, vals = self._compressed(
+            self.rows, self.cols, self.shape[0], self.shape[1]
         )
+        return CSRMatrix(indptr, cols, vals, self.shape)
 
     def to_csc(self):
         """Convert to :class:`repro.sparse.csc.CSCMatrix`."""
         from repro.sparse.csc import CSCMatrix
 
-        merged = self.sum_duplicates()
-        order = np.lexsort((merged.rows, merged.cols))
-        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
-        np.add.at(indptr, merged.cols + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return CSCMatrix(
-            indptr, merged.rows[order], merged.vals[order], self.shape
+        indptr, rows, vals = self._compressed(
+            self.cols, self.rows, self.shape[1], self.shape[0]
         )
+        return CSCMatrix(indptr, rows, vals, self.shape)

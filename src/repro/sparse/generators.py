@@ -96,32 +96,41 @@ def rmat(
         depth = int(np.log2(n))
     rng = _rng(seed)
     probs = np.array([a, b, c, d])
-    rows_out = np.zeros(0, dtype=np.int64)
-    cols_out = np.zeros(0, dtype=np.int64)
+    # ``rng.choice(4, p=probs)`` draws one uniform per pick and returns
+    # how many CDF steps lie at or below it; counting those steps
+    # directly gives the same picks from the same draws, without
+    # choice's per-element binary search.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     target = min(nnz, n * n)
-    # Oversample in rounds until enough distinct in-range coordinates exist.
-    seen = set()
+    # Oversample in rounds until enough distinct in-range coordinates
+    # exist; each round keeps its new keys in first-occurrence order.
+    keys = np.zeros(0, dtype=np.int64)
     max_rounds = 64
+    weights = 1 << np.arange(depth - 1, -1, -1, dtype=np.int64)
     for _ in range(max_rounds):
-        need = target - len(seen)
+        need = target - keys.size
         if need <= 0:
             break
         batch = max(64, int(need * 1.5))
-        quadrants = rng.choice(4, size=(batch, depth), p=probs)
-        row_bits = (quadrants >> 1) & 1
-        col_bits = quadrants & 1
-        weights = 1 << np.arange(depth - 1, -1, -1, dtype=np.int64)
-        rows = row_bits @ weights
-        cols = col_bits @ weights
+        draws = rng.random((batch, depth))
+        quadrants = (
+            (draws >= cdf[0]).astype(np.int64)
+            + (draws >= cdf[1])
+            + (draws >= cdf[2])
+        )
+        rows = ((quadrants >> 1) & 1) @ weights
+        cols = (quadrants & 1) @ weights
         in_range = (rows < n) & (cols < n)
-        for r, cl in zip(rows[in_range], cols[in_range]):
-            key = int(r) * n + int(cl)
-            if key not in seen:
-                seen.add(key)
-                if len(seen) >= target:
-                    break
-    keys = np.fromiter(seen, dtype=np.int64, count=len(seen))
-    keys.sort()
+        drawn = rows[in_range] * n + cols[in_range]
+        _, first = np.unique(drawn, return_index=True)
+        fresh = drawn[np.sort(first)]
+        # ``keys`` stays sorted, so membership is a binary search.
+        at = np.searchsorted(keys, fresh)
+        seen = at < keys.size
+        seen[seen] = keys[at[seen]] == fresh[seen]
+        accepted = np.sort(fresh[~seen][:need])
+        keys = np.insert(keys, np.searchsorted(keys, accepted), accepted)
     rows_out = keys // n
     cols_out = keys % n
     return COOMatrix(rows_out, cols_out, _values(rng, keys.size), (n, n))

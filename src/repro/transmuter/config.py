@@ -180,6 +180,30 @@ def space_size() -> int:
     )
 
 
+def _enumerate_runtime_space(l1_type: str) -> Tuple[HardwareConfig, ...]:
+    l1_choices = CAPACITIES_KB if l1_type == "cache" else (SPM_FIXED_L1_KB,)
+    return tuple(
+        HardwareConfig(l1_type, l1s, l2s, l1_kb, l2_kb, clk, pf)
+        for l1s in SHARING_MODES
+        for l2s in SHARING_MODES
+        for l1_kb in l1_choices
+        for l2_kb in CAPACITIES_KB
+        for clk in CLOCKS_MHZ
+        for pf in PREFETCH_LEVELS
+    )
+
+
+#: The runtime space of each L1 type, enumerated once at import, and
+#: each configuration's position in it.
+_RUNTIME_SPACES: Dict[str, Tuple[HardwareConfig, ...]] = {
+    l1_type: _enumerate_runtime_space(l1_type) for l1_type in L1_TYPES
+}
+_SPACE_POSITIONS: Dict[str, Dict[HardwareConfig, int]] = {
+    l1_type: {cfg: i for i, cfg in enumerate(space)}
+    for l1_type, space in _RUNTIME_SPACES.items()
+}
+
+
 def runtime_space(l1_type: str = "cache") -> List[HardwareConfig]:
     """All configurations reachable at runtime for a compiled L1 type.
 
@@ -188,21 +212,7 @@ def runtime_space(l1_type: str = "cache") -> List[HardwareConfig]:
     """
     if l1_type not in L1_TYPES:
         raise ConfigError(f"bad l1_type {l1_type!r}")
-    l1_choices = CAPACITIES_KB if l1_type == "cache" else (SPM_FIXED_L1_KB,)
-    return [
-        HardwareConfig(l1_type, l1s, l2s, l1_kb, l2_kb, clk, pf)
-        for l1s in SHARING_MODES
-        for l2s in SHARING_MODES
-        for l1_kb in l1_choices
-        for l2_kb in CAPACITIES_KB
-        for clk in CLOCKS_MHZ
-        for pf in PREFETCH_LEVELS
-    ]
-
-
-#: Fast-path memo for seeded samples (the sample is a pure function of
-#: its arguments when a seed is given).
-_SAMPLE_MEMO: Dict[tuple, tuple] = {}
+    return list(_RUNTIME_SPACES[l1_type])
 
 
 def sample_configs(
@@ -217,28 +227,18 @@ def sample_configs(
     into the sample so comparisons share the same evaluated set, matching
     the paper's S=256 sampled space (Appendix A.7).
     """
-    from repro import fastpath
-
-    memo_key = None
-    if seed is not None and fastpath.enabled():
-        memo_key = (count, l1_type, seed, tuple(include))
-        cached = _SAMPLE_MEMO.get(memo_key)
-        if cached is not None:
-            return list(cached)
     space = runtime_space(l1_type)
-    forced = [cfg for cfg in include if cfg in set(space)]
+    position = _SPACE_POSITIONS[l1_type]
+    forced = [cfg for cfg in include if cfg in position]
     rng = np.random.default_rng(seed)
-    remaining = [cfg for cfg in space if cfg not in set(forced)]
+    remaining = np.delete(
+        np.arange(len(space)), [position[cfg] for cfg in forced]
+    )
     count = min(count, len(space))
     extra = max(0, count - len(forced))
-    picked_idx = rng.choice(len(remaining), size=extra, replace=False)
-    sample = forced + [remaining[i] for i in picked_idx]
-    sample = sample[:count] if len(sample) > count else sample
-    if memo_key is not None:
-        if len(_SAMPLE_MEMO) >= 256:
-            _SAMPLE_MEMO.clear()
-        _SAMPLE_MEMO[memo_key] = tuple(sample)
-    return sample
+    picked_idx = rng.choice(remaining.size, size=extra, replace=False)
+    sample = forced + [space[i] for i in remaining[picked_idx]]
+    return sample[:count] if len(sample) > count else sample
 
 
 def neighbors(config: HardwareConfig, runtime_only: bool = True) -> List[HardwareConfig]:

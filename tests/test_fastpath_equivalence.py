@@ -210,7 +210,7 @@ class TestEpochGrid:
 
     def test_mixed_l1_type_batch(self):
         """One grid over interleaved cache and SPM configurations."""
-        from repro.fastpath.epochs import simulate_configs
+        from repro.fastpath.epochs import EpochGrid
 
         machine = TransmuterModel()
         trace = build_trace("spmspv", "R10", scale=0.12)
@@ -221,8 +221,9 @@ class TestEpochGrid:
             sample_configs(6, l1_type="spm", seed=6),
         ):
             configs += [cache_cfg, spm_cfg]
-        batched = simulate_configs(machine, workload, configs)
-        for config, result in zip(configs, batched):
+        grid = EpochGrid(machine, [workload], configs)
+        for j, config in enumerate(configs):
+            result = grid.result(0, j)
             scalar = machine.simulate_epoch(workload, config)
             assert _result_tuple(result) == _result_tuple(scalar), config
 
