@@ -11,6 +11,11 @@ This package compiles them down to numpy:
 * :mod:`repro.fastpath.epochs` evaluates the cache/crossbar/DVFS/power
   epoch model for a whole ``workloads x configs`` grid in one pass of
   elementwise array ops.
+* :mod:`repro.fastpath.transitions` prices every ``source -> target``
+  switch of a sampled configuration set (the (time, energy) transition
+  matrices behind Ideal Greedy and the Oracle) in one pass of
+  elementwise array ops, instead of one ``reconfiguration_cost`` call
+  per pair.
 
 **Bit-identity is the contract.** Every downstream guarantee
 (kill/resume, multi-host convergence, compare gates) keys off exact

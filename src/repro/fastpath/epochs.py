@@ -30,8 +30,9 @@ become ``np.where`` selections between per-branch values; mixed-type
 batches are partitioned by ``l1_type`` and stitched back column-wise.
 
 The grid materializes :class:`~repro.transmuter.machine.EpochResult`
-objects lazily: schemes touch only the table cells they stitch into a
-schedule, so a 64-config table materializes ~1/64th of its entries.
+objects lazily, one unboxed grid line at a time: schemes touch only the
+table cells they stitch into a schedule, so a 64-config table
+materializes ~1/64th of its entries.
 
 This engine intentionally has no :class:`EpochEnvironment` or trace
 support — degraded epochs occur only inside the (inherently
@@ -43,7 +44,7 @@ on :func:`repro.fastpath.enabled`, traced or not.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -569,7 +570,12 @@ class EpochGrid:
                     for name in _FIELDS:
                         fields[name][:, indices] = sub[name]
                 self._fields = fields
-        self._lists: Optional[Dict[str, list]] = None
+        # Cells unbox one grid line at a time, on first read: a config's
+        # column (static schemes read one, Ideal Greedy and the Oracle
+        # one cell per epoch), or the row of a one-workload grid (the
+        # training search reads all of it).
+        self._by_row = self.n_workloads == 1
+        self._lines: Dict[int, Dict[str, list]] = {}
         self._cache: Dict[int, EpochResult] = {}
 
     # ------------------------------------------------------------------
@@ -603,13 +609,15 @@ class EpochGrid:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        if self._lists is None:
-            # One bulk unboxing: scheme stitching touches whole rows, and
-            # tolist() converts far faster than per-cell item() calls.
-            self._lists = {
-                name: arr.tolist() for name, arr in self._fields.items()
+        line, at = (i, j) if self._by_row else (j, i)
+        values = self._lines.get(line)
+        if values is None:
+            # tolist() unboxes a line far faster than per-cell item().
+            pick = (i, slice(None)) if self._by_row else (slice(None), j)
+            values = self._lines[line] = {
+                name: arr[pick].tolist() for name, arr in self._fields.items()
             }
-        f = {name: values[i][j] for name, values in self._lists.items()}
+        f = {name: column[at] for name, column in values.items()}
         workload = self.workloads[i]
         config = self.configs[j]
         energy = EnergyBreakdown(

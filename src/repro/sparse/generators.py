@@ -223,23 +223,26 @@ def diagonal_local(
     """
     rng = _rng(seed)
     scale = max(1.0, spread * n)
-    seen = set()
+    keys = np.empty(0, dtype=np.int64)  # accepted positions, sorted
     for _ in range(64):
-        need = nnz - len(seen)
+        need = nnz - keys.size
         if need <= 0:
             break
         rows = rng.integers(0, n, size=int(need * 1.5) + 16)
         offsets = np.round(rng.laplace(0.0, scale, size=rows.size)).astype(np.int64)
         cols = rows + offsets
         ok = (cols >= 0) & (cols < n)
-        for r, cl in zip(rows[ok], cols[ok]):
-            key = int(r) * n + int(cl)
-            if key not in seen:
-                seen.add(key)
-                if len(seen) >= nnz:
-                    break
-    keys = np.fromiter(seen, dtype=np.int64, count=len(seen))
-    keys.sort()
+        drawn = rows[ok] * n + cols[ok]
+        # The first draw of each position not yet accepted, in draw
+        # order, up to the number still needed.
+        _, first = np.unique(drawn, return_index=True)
+        fresh = drawn[np.sort(first)]
+        at = np.searchsorted(keys, fresh)
+        inside = at < keys.size
+        taken = np.zeros(fresh.size, dtype=bool)
+        taken[inside] = keys[at[inside]] == fresh[inside]
+        fresh = np.sort(fresh[~taken][:need])
+        keys = np.insert(keys, np.searchsorted(keys, fresh), fresh)
     return COOMatrix(
         keys // n, keys % n, _values(rng, keys.size), (n, n)
     )

@@ -177,8 +177,9 @@ def reconfiguration_cost(
     if fastpath.enabled():
         # The cost is a pure function of its (hashable) inputs, and
         # campaigns re-evaluate the same transitions thousands of times
-        # (transition matrices, per-epoch policy checks) — memoize
-        # process-wide. ReconfigCost is frozen, so sharing is safe.
+        # (per-epoch policy checks, the switches stitched schedules
+        # take) — memoize process-wide. ReconfigCost is frozen, so
+        # sharing is safe.
         key = (
             old,
             new,

@@ -2,12 +2,13 @@
 scalar reference.
 
 Every fast-path component (compiled decision tables, the vectorized
-epoch grid, the controller decision memo, the pure-function memos) is
-run against the scalar code it replaces on the same inputs, and the
-outputs are compared with ``==`` — not ``pytest.approx``. The promise
-under test is the one ``docs/performance.md`` documents: enabling
-``REPRO_FASTPATH`` changes wall-clock and nothing else, down to the
-last float bit in every report byte.
+epoch grid, the transition matrices, the controller decision memo, the
+pure-function memos) is run against the scalar code it replaces on the
+same inputs, and the outputs are compared with ``==`` — not
+``pytest.approx``. The promise under test is the one
+``docs/performance.md`` documents: enabling ``REPRO_FASTPATH`` changes
+wall-clock and nothing else, down to the last float bit in every report
+byte.
 
 The comparisons are seeded property tests: each case loops over a
 handful of seeds, regenerating models/configs/traces per seed, so the
@@ -239,6 +240,122 @@ class TestEpochGrid:
                 cell = grid.result(i, j)
                 assert grid.times[i, j] == cell.time_s
                 assert grid.energies[i, j] == cell.energy_j
+
+    @pytest.mark.parametrize(
+        "workloads,mixed",
+        [(8, False), (8, True), (1, False), (1, True)],
+        ids=["table", "mixed-table", "row", "mixed-row"],
+    )
+    def test_cells_independent_of_read_order(self, workloads, mixed):
+        """Cells read in a shuffled order equal a fresh grid's cells."""
+        from repro.fastpath.epochs import EpochGrid
+
+        machine = TransmuterModel()
+        epochs = build_trace("spmspm", "R03", scale=0.12).epochs[:workloads]
+        configs = sample_configs(6, l1_type="cache", seed=4)
+        if mixed:
+            spm = sample_configs(6, l1_type="spm", seed=8)
+            configs = [cfg for pair in zip(configs, spm) for cfg in pair]
+        cells = [(i, j) for i in range(len(epochs)) for j in range(len(configs))]
+        fresh = EpochGrid(machine, epochs, configs)
+        expected = {cell: _result_tuple(fresh.result(*cell)) for cell in cells}
+        for seed in SEEDS:
+            grid = EpochGrid(machine, epochs, configs)
+            for k in np.random.default_rng(seed).permutation(len(cells)):
+                cell = cells[k]
+                assert _result_tuple(grid.result(*cell)) == expected[cell], cell
+
+
+class TestTransitionMatrices:
+    """Vectorized transition matrices vs. one scalar cost per pair."""
+
+    @staticmethod
+    def _scalar(configs, power, bandwidth_gbps, hint):
+        from repro.transmuter.reconfig import reconfiguration_cost
+
+        n = len(configs)
+        times = np.zeros((n, n))
+        energies = np.zeros((n, n))
+        with fastpath.overridden(False):
+            for i, source in enumerate(configs):
+                for j, target in enumerate(configs):
+                    if i != j:
+                        cost = reconfiguration_cost(
+                            source, target, power, bandwidth_gbps,
+                            dirty_bytes_hint=hint,
+                        )
+                        times[i, j] = cost.time_s
+                        energies[i, j] = cost.energy_j
+        return times, energies
+
+    @pytest.mark.parametrize("l1_type", ["cache", "spm"])
+    @pytest.mark.parametrize("geometry", [(4, 4), (2, 8)], ids=["4x4", "2x8"])
+    def test_bitwise_equal_to_scalar(self, l1_type, geometry):
+        from repro.fastpath.transitions import transition_matrices
+        from repro.transmuter.power import PowerModel
+
+        power = PowerModel(*geometry)
+        # Above every provisioned capacity: the hint never binds.
+        above = 2.0 * 64 * 1024 * max(power.n_gpes, power.n_tiles)
+        for seed in (0, 1, 7):
+            configs = sample_configs(24, l1_type=l1_type, seed=seed)
+            for bandwidth in (0.1, 1.0, 100.0):
+                for hint in (None, 0.0, above):
+                    fast = transition_matrices(configs, power, bandwidth, hint)
+                    scalar = self._scalar(configs, power, bandwidth, hint)
+                    for got, want in zip(fast, scalar):
+                        np.testing.assert_array_equal(
+                            got.view(np.int64), want.view(np.int64)
+                        )
+
+    def test_repeated_configs_cost_nothing(self):
+        from repro.fastpath.transitions import transition_matrices
+        from repro.transmuter.power import PowerModel
+
+        configs = sample_configs(5, seed=3)
+        configs = configs + configs[:2]
+        power = PowerModel()
+        fast = transition_matrices(configs, power, 1.0, 512.0)
+        scalar = self._scalar(configs, power, 1.0, 512.0)
+        assert fast[0][0, 5] == fast[1][6, 1] == 0.0
+        for got, want in zip(fast, scalar):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_mixed_l1_types_rejected_like_scalar(self):
+        from repro.errors import ConfigError
+        from repro.fastpath.transitions import transition_matrices
+        from repro.transmuter.power import PowerModel
+
+        configs = sample_configs(3, seed=1) + sample_configs(
+            3, l1_type="spm", seed=1
+        )
+        with pytest.raises(ConfigError) as fast:
+            transition_matrices(configs, PowerModel(), 1.0)
+        with pytest.raises(ConfigError) as scalar:
+            self._scalar(configs, PowerModel(), 1.0, None)
+        assert str(fast.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("l1_type", ["cache", "spm"])
+    def test_table_matrices_both_legs(self, l1_type):
+        from repro.baselines.table import EpochTable
+
+        trace = build_trace("spmspm", "R04", scale=0.12)
+        for seed in SEEDS:
+            legs = []
+            for flag in (True, False):
+                with fastpath.overridden(flag):
+                    table = EpochTable(
+                        TransmuterModel(bandwidth_gbps=2.0),
+                        trace,
+                        n_samples=16,
+                        l1_type=l1_type,
+                        seed=seed,
+                    )
+                    legs.append(table.reconfig_matrices())
+            for got, want in zip(*legs):
+                np.testing.assert_array_equal(
+                    got.view(np.int64), want.view(np.int64)
+                )
 
 
 class TestSchemes:

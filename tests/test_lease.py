@@ -3,7 +3,9 @@ clock skew, and torn lease files (docs/robustness.md, "multi-host
 campaigns")."""
 
 import json
+import os
 import random
+import time
 
 import pytest
 
@@ -233,13 +235,17 @@ class TestTornLease:
     def test_torn_lease_eventually_reclaimable(self, tmp_path):
         # A torn lease ages out on file mtime + ttl: unreadable claims
         # cannot wedge a key forever. The synthetic deadline is file
-        # mtime based, so this one runs on the real clock with a tiny
-        # ttl instead of the fake clock.
+        # mtime based, so this one runs on the real clock; the torn
+        # file is backdated a minute past its ttl so the check cannot
+        # race the clock.
         mgr = LeaseManager(
             tmp_path / "leases", owner="alice", ttl_s=0.0001
         )
         mgr.try_claim("job1")
-        mgr.path("job1").write_text("not json", encoding="utf-8")
+        path = mgr.path("job1")
+        path.write_text("not json", encoding="utf-8")
+        stale = time.time() - 60.0
+        os.utime(path, (stale, stale))
         lease = mgr.read("job1")
         assert mgr.expired(lease)
         taken = mgr.reclaim("job1")

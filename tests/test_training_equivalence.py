@@ -8,9 +8,10 @@ it node for node, bit for bit.
 
 The digests were recorded with the per-feature split loop, a search
 that re-simulated each phase's sampled configurations for features,
-per-column ``trace_spmspv`` and ``rmat`` loops, and ``np.add.at``
-sparse conversions. Any change to the training set, a stock model, a
-trace or a conversion changes a digest.
+per-column ``trace_spmspv`` and ``rmat`` loops, a per-candidate
+``diagonal_local`` set loop, and ``np.add.at`` sparse conversions. Any
+change to the training set, a stock model, a trace or a conversion
+changes a digest.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ EXPECTED = {
     "rmat_probabilities": "7218dc12ef06e0760ef40cbd585831738f33911bb66d56e4dd5a00af4a2e9b02",
     "duplicates": "bb17fff59350fbf9d99d596c438929e1ef7006c8707aa5d93472bbd61c988dcb",
     "edge_shapes": "ffa16764ec7cc7f0b5539f51a08a7dcaca5436873fb3bd9964b6d215eac11f20",
+    "diagonal_local": "4dfc1cab73e5e963b14832391033151ce6ac3a08cee300a856f69349e665b85d",
 }
 
 #: The matrices of Table 3's SpMSpV sweep and a spread of Table-5 ones.
@@ -502,3 +504,20 @@ class TestRecordedDigests:
         symmetric = suite.load("R10", 0.1)
         parts.append(_digest(symmetric.rows, symmetric.cols, symmetric.vals))
         assert _digest(parts) == EXPECTED["edge_shapes"]
+
+    def test_diagonal_local(self):
+        # R06/R09 are the suite's diagonal_local matrices; the direct
+        # calls add a wide spread (many rejected columns) and a request
+        # that needs several rounds of draws to fill.
+        arrays = []
+        for matrix_id in ("R06", "R09"):
+            matrix = suite.load(matrix_id, 0.3)
+            arrays.append(
+                _digest(matrix.rows, matrix.cols, matrix.vals, matrix.shape)
+            )
+        for n, nnz, spread, seed in ((300, 4000, 0.2, 3), (97, 2500, 0.01, 11)):
+            matrix = generators.diagonal_local(n, nnz, spread=spread, seed=seed)
+            arrays.append(
+                _digest(matrix.rows, matrix.cols, matrix.vals, matrix.shape)
+            )
+        assert _digest(arrays) == EXPECTED["diagonal_local"]
